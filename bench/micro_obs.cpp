@@ -1,9 +1,9 @@
 // Microbenchmarks for the obs layer itself: what one instrumented call site
 // costs in the hot paths (logger pre-flight and emit, counter/histogram
-// updates, span open/close), and — via micro_obs_off.cpp, a TU compiled with
-// MUSTAPLE_OBS_OFF — what the same sites cost when the layer is compiled
-// out. The disabled path must stay at ~0 ns so instrumentation never taxes
-// a bench binary that opts out.
+// updates), and — via micro_obs_off.cpp, a TU compiled with MUSTAPLE_OBS_OFF
+// — what the same sites cost when the layer is compiled out. The disabled
+// path must stay at ~0 ns so instrumentation never taxes a bench binary that
+// opts out.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -78,15 +78,6 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-void BM_SpanOpenClose(benchmark::State& state) {
-  obs::Tracer tracer;
-  for (auto _ : state) {
-    obs::Span span("bench", tracer);
-    benchmark::DoNotOptimize(&span);
-  }
-}
-BENCHMARK(BM_SpanOpenClose);
-
 void BM_RenderPrometheus(benchmark::State& state) {
   obs::Registry registry;
   for (int i = 0; i < 50; ++i) {
@@ -126,13 +117,6 @@ void BM_DisabledHistogramSite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DisabledHistogramSite);
-
-void BM_DisabledSpanSite(benchmark::State& state) {
-  for (auto _ : state) {
-    bench_obs::off_span_site();
-  }
-}
-BENCHMARK(BM_DisabledSpanSite);
 
 }  // namespace
 

@@ -21,6 +21,4 @@ void off_observe_site([[maybe_unused]] double x) {
   MUSTAPLE_OBSERVE("mustaple_bench_off_ms", x);
 }
 
-void off_span_site() { MUSTAPLE_SPAN(span, "disabled"); }
-
 }  // namespace mustaple::bench_obs

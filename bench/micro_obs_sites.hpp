@@ -12,6 +12,5 @@ void off_log_site(std::int64_t i);
 void off_count_site();
 void off_count_labelled_site();
 void off_observe_site(double x);
-void off_span_site();
 
 }  // namespace mustaple::bench_obs

@@ -4,8 +4,8 @@
 // timeline (windowed sim-time series) as CSV/JSON, a Perfetto-loadable
 // Chrome trace, the annotation profiler's phase tree (JSON + collapsed
 // stacks for flamegraph.pl / speedscope), the resource-monitor timeline
-// (RSS, CPU, per-subsystem allocation), and the span/resource/profile
-// summaries appended to the readiness report.
+// (RSS, CPU, per-subsystem allocation), and the resource/profile summaries
+// appended to the readiness report.
 //
 // Build & run:  cmake -B build && cmake --build build -j
 //               ./build/examples/obs_dump [outdir]

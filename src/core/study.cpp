@@ -387,8 +387,7 @@ ReadinessReport MustStapleStudy::run() {
   // background thread is skipped; sample_now() below still records enough
   // for the report's peak-RSS line.
   if (config_.resource_tick_ms > 0) monitor_->start();
-  // One study = one trace; stamp every log record with the campaign clock.
-  obs::default_tracer().reset();
+  // Stamp every log record with the campaign clock.
   obs::default_logger().set_sim_clock([this] { return loop_.now(); });
   // Campaign timeline: windowed counter deltas on the simulated clock,
   // advanced by the EventLoop as the clock moves. Windows align to the
@@ -421,12 +420,10 @@ ReadinessReport MustStapleStudy::run() {
 #endif
   start_introspection();
   {
-    MUSTAPLE_SPAN(span_study, "study");
     OBS_PROF_SCOPE("study");
     report.deployment = ecosystem_->deployment_stats();
 
     if (config_.run_availability_scan) {
-      MUSTAPLE_SPAN(span_scan, "availability-scan");
       OBS_PROF_SCOPE("availability-scan");
       measurement::HourlyScanner scanner(*ecosystem_, config_.scan);
       {
@@ -462,7 +459,6 @@ ReadinessReport MustStapleStudy::run() {
     }
 
     if (config_.run_consistency_audit) {
-      MUSTAPLE_SPAN(span_audit, "consistency-audit");
       OBS_PROF_SCOPE("consistency-audit");
       util::Rng rng(config_.ecosystem.seed ^ 0x5ca1ab1eULL);
       measurement::ConsistencyAudit audit(*ecosystem_, config_.consistency);
@@ -478,7 +474,6 @@ ReadinessReport MustStapleStudy::run() {
     }
 
     if (config_.run_browser_suite) {
-      MUSTAPLE_SPAN(span_browsers, "browser-suite");
       OBS_PROF_SCOPE("browser-suite");
       const analysis::BrowserSuiteResult browsers =
           analysis::run_browser_suite(config_.ecosystem.seed);
@@ -494,7 +489,6 @@ ReadinessReport MustStapleStudy::run() {
     }
 
     if (config_.run_webserver_suite) {
-      MUSTAPLE_SPAN(span_servers, "webserver-suite");
       OBS_PROF_SCOPE("webserver-suite");
       const analysis::WebServerSuiteResult servers =
           analysis::run_webserver_suite(config_.ecosystem.seed);
@@ -529,7 +523,6 @@ ReadinessReport MustStapleStudy::run() {
   timeline.set_window_hook(nullptr);
   obs::install_timeline(previous_timeline);
   trace_log.disable();
-  report.trace_summary = obs::default_tracer().summary();
   report.timeline_summary = availability_summary(timeline);
   obs::default_logger().set_sim_clock(nullptr);
   // Close the resource timeline with one final sample (covers tick 0, where
@@ -636,7 +629,6 @@ std::string ReadinessReport::render() const {
   out << "\nConclusion: the web is " << (web_is_ready ? "" : "NOT ")
       << "ready for OCSP Must-Staple.\n";
   if (!timeline_summary.empty()) out << "\n" << timeline_summary;
-  if (!trace_summary.empty()) out << "\n" << trace_summary;
   if (!resource_summary.empty()) out << "\n" << resource_summary;
   if (!profile_summary.empty()) out << "\n" << profile_summary;
   if (!health_summary.empty()) out << "\n" << health_summary;

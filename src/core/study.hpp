@@ -119,10 +119,6 @@ struct ReadinessReport {
   /// of the obs layer.
   lint::LintReport lint;
 
-  /// Per-phase wall-clock span summary (obs::Tracer); empty when the obs
-  /// layer is compiled out.
-  std::string trace_summary;
-
   /// Sim-time availability sparkline derived from the campaign timeline;
   /// empty when the obs layer is compiled out or no scan ran.
   std::string timeline_summary;

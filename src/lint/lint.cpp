@@ -330,7 +330,7 @@ std::string LintReport::summary() const {
 LintReport run_batch(const RuleRegistry& registry,
                      std::vector<Artifact>& artifacts, std::size_t threads,
                      std::size_t finding_capacity) {
-  MUSTAPLE_SPAN(span_batch, "lint-batch");
+  OBS_PROF_SCOPE("lint.batch");
   const std::size_t thread_count =
       threads > 0 ? threads : util::ThreadPool::env_threads(1);
   util::ThreadPool pool(thread_count);

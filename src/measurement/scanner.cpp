@@ -306,7 +306,6 @@ void HourlyScanner::run() {
   }
 
   OBS_PROF_SCOPE("scan.campaign");
-  MUSTAPLE_SPAN(span_campaign, "scan-campaign");
   MUSTAPLE_LOG_INFO("scan", "campaign starting",
                     obs::field("targets", targets_.size()),
                     obs::field("responders", responder_count()),
@@ -323,7 +322,6 @@ void HourlyScanner::run() {
     step_trace_id_ = obs::next_trace_id();
 #endif
     OBS_PROF_SCOPE("scan.step");
-    MUSTAPLE_SPAN(span_step, "scan-step");
     loop.run_until(t);
     MUSTAPLE_TRACE_INSTANT("scan-step", "scan", t,
                            obs::TraceLog::kControlTrack,

@@ -172,43 +172,55 @@ util::Status SocketServer::start() {
   // spread incoming connections across the sibling sockets — one accept
   // queue per worker, no shared lock. For an ephemeral request (port 0) the
   // first worker's bind resolves the port and the siblings reuse it.
+  const int one = 1;
   for (std::size_t li = 0; li < listeners_.size(); ++li) {
     Listener& listener = *listeners_[li];
-    std::uint16_t resolved = listener.requested_port;
+    struct sockaddr_in addr {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(listener.requested_port);
+    addr.sin_addr = bind_addr;
+    auto* sa = reinterpret_cast<struct sockaddr*>(&addr);
+    socklen_t addr_len = sizeof(addr);
+    if (listener.requested_port != 0) {
+      // SO_REUSEPORT alone would let the siblings join a group that another
+      // server of the same user already holds on this port, silently
+      // splitting its connections. An exclusive probe bind (SO_REUSEADDR
+      // only, so a previous run's TIME_WAIT does not block a restart) makes
+      // that a bind failure.
+      const int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      if (probe < 0) return fail("serve.socket", std::strerror(errno));
+      ::setsockopt(probe, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+      const bool taken = ::bind(probe, sa, addr_len) != 0;
+      const int bind_errno = errno;
+      ::close(probe);
+      if (taken) {
+        return fail("serve.bind",
+                    listener.name + ": " + std::strerror(bind_errno));
+      }
+    }
     for (std::size_t w = 0; w < worker_count; ++w) {
       const int fd =
           ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       if (fd < 0) return fail("serve.socket", std::strerror(errno));
       workers_[w]->listen_fds.push_back(fd);
-      const int one = 1;
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
       if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
         return fail("serve.reuseport", std::strerror(errno));
       }
-      struct sockaddr_in addr {};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(resolved);
-      addr.sin_addr = bind_addr;
-      if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                 sizeof(addr)) != 0) {
+      if (::bind(fd, sa, addr_len) != 0) {
         return fail("serve.bind",
                     listener.name + ": " + std::strerror(errno));
       }
-      if (resolved == 0) {
-        struct sockaddr_in bound {};
-        socklen_t bound_len = sizeof(bound);
-        if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
-                          &bound_len) != 0) {
-          return fail("serve.getsockname", std::strerror(errno));
-        }
-        resolved = ntohs(bound.sin_port);
+      // Reads the kernel-assigned port back into addr for the siblings.
+      if (addr.sin_port == 0 && ::getsockname(fd, sa, &addr_len) != 0) {
+        return fail("serve.getsockname", std::strerror(errno));
       }
       if (::listen(fd, options_.listen_backlog) != 0) {
         return fail("serve.listen",
                     listener.name + ": " + std::strerror(errno));
       }
     }
-    listener.bound_port.store(resolved, std::memory_order_release);
+    listener.bound_port.store(ntohs(addr.sin_port), std::memory_order_release);
   }
 
   for (auto& worker : workers_) {
@@ -281,8 +293,8 @@ void SocketServer::close_worker_fds(Worker& worker) {
 void SocketServer::serve_loop(Worker& worker) {
   std::array<struct epoll_event, 64> events{};
   while (running_.load(std::memory_order_acquire)) {
-    // Same cadence as the introspection server: tight polls while
-    // connections are pending keep the deadline sweep responsive.
+    // Tight polls while connections are pending keep the deadline sweep
+    // responsive; an idle worker wakes every 500 ms.
     const int timeout_ms = worker.connections.empty() ? 500 : 50;
     const int n = ::epoll_wait(worker.epoll_fd, events.data(),
                                static_cast<int>(events.size()), timeout_ms);
@@ -381,7 +393,7 @@ bool SocketServer::drain_requests(Connection& conn) {
         find_head_end(conn.in.data(), conn.in_off, conn.in.size());
     if (head_end == std::string::npos) {
       // No terminator yet: an unterminated head past the cap is rejected
-      // before any parse, introspection-server style.
+      // before any parse.
       if (pending > options_.max_request_bytes) {
         queue_response(conn,
                        plain_response(431, "Request Header Fields Too Large",
@@ -512,7 +524,8 @@ void SocketServer::update_interest(Worker& worker, Connection& conn) {
   if (want_write == conn.want_write) return;
   conn.want_write = want_write;
   struct epoll_event ev {};
-  ev.events = EPOLLIN | EPOLLET | (want_write ? EPOLLOUT : 0);
+  ev.events = EPOLLIN | EPOLLET;
+  if (want_write) ev.events |= EPOLLOUT;
   ev.data.u64 = reinterpret_cast<std::uint64_t>(&conn);
   ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -550,7 +563,8 @@ void SocketServer::sweep_expired(Worker& worker) {
         update_interest(worker, *conn);
       }
     } else {
-      // Idle keep-alive connection: close silently, nothing owed.
+      // Idle connection (nothing sent yet, or keep-alive between
+      // requests): close silently, nothing owed.
       close_connection(worker, *conn);
     }
   }
@@ -562,19 +576,9 @@ util::Status SocketServer::start() {
   return util::Status::failure("serve.unsupported",
                                "epoll server requires Linux");
 }
+// start() never succeeds here, so the private event-loop members are never
+// called and need no definitions.
 void SocketServer::stop() {}
-void SocketServer::serve_loop(Worker&) {}
-void SocketServer::accept_ready(Worker&, std::size_t) {}
-bool SocketServer::connection_ready(Worker&, Connection&, std::uint32_t) {
-  return false;
-}
-bool SocketServer::drain_requests(Connection&) { return false; }
-void SocketServer::queue_response(Connection&, HttpResponse, bool) {}
-bool SocketServer::flush_ready(Worker&, Connection&) { return false; }
-void SocketServer::update_interest(Worker&, Connection&) {}
-void SocketServer::close_connection(Worker&, Connection&) {}
-void SocketServer::sweep_expired(Worker&) {}
-void SocketServer::close_worker_fds(Worker&) {}
 
 #endif  // MUSTAPLE_HAVE_EPOLL
 

@@ -1,17 +1,16 @@
 // Real-socket serving mode: a multi-worker epoll + eventfd event loop that
-// binds the repo's HTTP handler objects (OCSP responder, CRL server, web
-// server adapters) to actual TCP listeners and speaks the same HTTP/1.1 +
-// OCSP wire formats the simulated Network already exercises — the "serve
-// real traffic" pillar of the ROADMAP, generalizing the accept/read/write
-// machinery proven in obs::IntrospectionServer.
-//
-// Differences from the introspection server, which stays a single-threaded
-// GET-only diagnostics port:
+// binds HTTP handler functions to actual TCP listeners. It is the one HTTP
+// server loop in the repo: it serves the OCSP responder, CRL server and web
+// server adapters over the same HTTP/1.1 + OCSP wire formats the simulated
+// Network already exercises, and the loopback introspection port
+// (obs::IntrospectionServer, one listener on one worker with keep_alive off).
 //
 //   * N worker threads, each with its OWN epoll set and its OWN listen
 //     socket per configured listener (SO_REUSEPORT): the kernel load-
 //     balances accepted connections across workers, so there is no shared
-//     accept lock and no cross-worker connection handoff.
+//     accept lock and no cross-worker connection handoff. A fixed port is
+//     first bound exclusively, so a port another server holds fails with
+//     "serve.bind" instead of being shared.
 //   * Edge-triggered (EPOLLET) readiness with drain-to-EAGAIN read/write
 //     loops — one epoll wakeup per readiness transition, not per byte.
 //   * HTTP/1.1 keep-alive with pipelining: requests are framed by header
@@ -21,12 +20,11 @@
 //   * Multiple named listeners, each with its own handler — one process
 //     serves OCSP, CRL, and web traffic on three ports from one pool.
 //
-// The protections match the introspection server's posture: a
-// per-connection read deadline answers stalled requests with 408, and a
-// request-size cap answers oversized heads or bodies with 431 before any
-// handler runs. Handlers execute on worker threads — they must be
-// thread-safe (the OCSP responder and CRL server already are; the web
-// server adapter serializes internally).
+// Protections: a per-connection read deadline answers stalled requests
+// with 408, and a request-size cap answers oversized heads or bodies with
+// 431 before any handler runs. Handlers execute on worker threads — they
+// must be thread-safe (the OCSP responder and CRL server already are; the
+// web server adapter serializes internally).
 #pragma once
 
 #include <atomic>
@@ -80,7 +78,7 @@ class SocketServer {
     /// answered 408 (mid-request) or silently closed (idle keep-alive).
     std::uint64_t read_timeout_ms = 5000;
     /// Answer "Connection: keep-alive" and serve pipelined requests; when
-    /// false every response closes, introspection-server style.
+    /// false every connection closes after its first response.
     bool keep_alive = true;
     int listen_backlog = 511;
   };

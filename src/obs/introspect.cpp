@@ -1,9 +1,5 @@
 #include "obs/introspect.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "obs/health.hpp"
@@ -14,59 +10,34 @@
 #include "util/bytes.hpp"
 #include "util/strings.hpp"
 
-#if defined(__linux__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#define MUSTAPLE_HAVE_EPOLL 1
-#else
-#define MUSTAPLE_HAVE_EPOLL 0
-#endif
-
 namespace mustaple::obs {
 
 namespace {
 
-// epoll_event.data.u64 tags for the two non-connection descriptors;
-// Connection pointers are always aligned well past these values.
-constexpr std::uint64_t kListenTag = 0;
-constexpr std::uint64_t kWakeTag = 1;
-
-/// True when `wire` holds a complete request head but short body — the
-/// parser has already succeeded, yet more socket reads are needed.
-bool body_incomplete(const net::HttpRequest& request) {
-  const std::string declared = request.headers.get("content-length");
-  if (declared.empty()) return false;
-  std::uint64_t wanted = 0;
-  for (const char c : declared) {  // digits only; anything else => complete
-    if (c < '0' || c > '9') return false;
-    wanted = wanted * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return request.body.size() < wanted;
+net::SocketServer::Options serving_options(
+    const IntrospectionServer::Options& options) {
+  net::SocketServer::Options serving;
+  serving.bind_address = options.bind_address;
+  serving.worker_threads = 1;
+  serving.max_connections = IntrospectionServer::kMaxConnections;
+  serving.max_request_bytes = IntrospectionServer::kMaxRequestBytes;
+  serving.read_timeout_ms = IntrospectionServer::kReadTimeoutMs;
+  serving.keep_alive = false;  // every response carries Connection: close
+  return serving;
 }
 
 }  // namespace
-
-struct IntrospectionServer::Connection {
-  int fd = -1;
-  util::Bytes in;
-  util::Bytes out;
-  std::size_t out_off = 0;
-  bool responded = false;
-  /// When the read (or, after a response is queued, write) window expires.
-  std::chrono::steady_clock::time_point deadline{};
-};
 
 IntrospectionServer::IntrospectionServer()
     : IntrospectionServer(Options()) {}
 
 IntrospectionServer::IntrospectionServer(Options options)
-    : options_(std::move(options)) {}
-
-IntrospectionServer::~IntrospectionServer() { stop(); }
+    : server_(serving_options(options)) {
+  server_.add_listener("introspect", options.port,
+                       [this](const net::HttpRequest& request) {
+                         return handle(request);
+                       });
+}
 
 void IntrospectionServer::add_registry(std::string name,
                                        const Registry* registry) {
@@ -85,277 +56,6 @@ void IntrospectionServer::set_status_provider(StatusProvider provider) {
   util::MutexLock lock(provider_mu_);
   status_provider_ = std::move(provider);
 }
-
-util::Status IntrospectionServer::start() {
-#if !MUSTAPLE_HAVE_EPOLL
-  return util::Status::failure("introspect.unsupported",
-                               "epoll server requires Linux");
-#else
-  if (running()) return util::Status::success();
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) {
-    return util::Status::failure("introspect.socket", std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::failure("introspect.bad_address",
-                                 options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::failure("introspect.bind", detail);
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return util::Status::failure("introspect.listen", detail);
-  }
-
-  struct sockaddr_in bound {};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_.store(ntohs(bound.sin_port), std::memory_order_release);
-  }
-
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (wake_fd_ < 0 || epoll_fd_ < 0) {
-    const std::string detail = std::strerror(errno);
-    stop_fds();
-    return util::Status::failure("introspect.epoll", detail);
-  }
-
-  struct epoll_event ev {};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { serve_loop(); });
-  return util::Status::success();
-#endif
-}
-
-void IntrospectionServer::stop_fds() {
-#if MUSTAPLE_HAVE_EPOLL
-  for (const auto& conn : connections_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
-  connections_.clear();
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  epoll_fd_ = wake_fd_ = listen_fd_ = -1;
-#endif
-}
-
-void IntrospectionServer::stop() {
-#if MUSTAPLE_HAVE_EPOLL
-  if (!running()) return;
-  running_.store(false, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
-  thread_.join();
-  stop_fds();
-#endif
-}
-
-#if MUSTAPLE_HAVE_EPOLL
-
-void IntrospectionServer::serve_loop() {
-  std::array<struct epoll_event, 32> events{};
-  while (running_.load(std::memory_order_acquire)) {
-    // Tighten the poll while connections are pending so deadline sweeps
-    // stay responsive; idle servers keep the cheap 500ms cadence.
-    const int timeout_ms = connections_.empty() ? 500 : 50;
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      if (tag == kWakeTag) continue;  // running_ re-checked by the loop
-      if (tag == kListenTag) {
-        accept_ready(epoll_fd_);
-        continue;
-      }
-      auto* conn = reinterpret_cast<Connection*>(tag);
-      if (!connection_ready(epoll_fd_, *conn, events[i].events)) {
-        close_connection(epoll_fd_, *conn);
-      }
-    }
-    sweep_expired(epoll_fd_);
-  }
-}
-
-void IntrospectionServer::sweep_expired(int epoll_fd) {
-  const auto now = std::chrono::steady_clock::now();
-  // queue_response/close_connection mutate connections_, so collect first.
-  std::vector<Connection*> expired;
-  for (const auto& conn : connections_) {
-    if (now >= conn->deadline) expired.push_back(conn.get());
-  }
-  for (Connection* conn : expired) {
-    if (!conn->responded) {
-      queue_response(epoll_fd, *conn,
-                     net::HttpResponse::make(408, "Request Timeout",
-                                             util::bytes_of("timed out\n"),
-                                             "text/plain"));
-    } else {
-      close_connection(epoll_fd, *conn);  // stalled writer: drop it
-    }
-  }
-}
-
-void IntrospectionServer::accept_ready(int epoll_fd) {
-  for (;;) {
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN (drained) or transient error
-    if (connections_.size() >= options_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(options_.read_timeout_ms);
-    struct epoll_event ev {};
-    ev.events = EPOLLIN;
-    ev.data.u64 = reinterpret_cast<std::uint64_t>(conn.get());
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    connections_.push_back(std::move(conn));
-  }
-}
-
-bool IntrospectionServer::connection_ready(int epoll_fd, Connection& conn,
-                                           std::uint32_t events) {
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) return false;
-
-  if ((events & EPOLLIN) != 0 && !conn.responded) {
-    std::uint8_t buf[4096];
-    for (;;) {
-      const ssize_t got = ::read(conn.fd, buf, sizeof(buf));
-      if (got > 0) {
-        conn.in.insert(conn.in.end(), buf, buf + got);
-        continue;
-      }
-      if (got == 0) return false;  // peer closed before a full request
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-
-    // Size cap first, before any parse outcome: an unterminated head, a
-    // Content-Length body, and a complete-but-huge request all hit the same
-    // ceiling — a diagnostics port never needs requests this large.
-    if (conn.in.size() > options_.max_request_bytes) {
-      queue_response(epoll_fd, conn,
-                     net::HttpResponse::make(
-                         431, "Request Header Fields Too Large",
-                         util::bytes_of("request too large\n"), "text/plain"));
-      return true;
-    }
-
-    auto parsed = net::HttpRequest::parse(conn.in);
-    if (!parsed.ok()) {
-      if (parsed.error().code == "http.no_header_terminator") {
-        return true;  // need more bytes (or the cap/deadline sweep)
-      }
-      queue_response(
-          epoll_fd, conn,
-          net::HttpResponse::make(400, "Bad Request",
-                                  util::bytes_of(parsed.error().to_string() +
-                                                 "\n"),
-                                  "text/plain"));
-      return true;
-    }
-    if (body_incomplete(parsed.value())) {
-      return true;  // declared body still arriving; capped by the check above
-    }
-    queue_response(epoll_fd, conn, handle(parsed.value()));
-  }
-
-  if ((events & EPOLLOUT) != 0 || conn.responded) return flush(conn);
-  return true;
-}
-
-void IntrospectionServer::queue_response(int epoll_fd, Connection& conn,
-                                         net::HttpResponse response) {
-  response.headers.set("Connection", "close");
-  conn.out = response.serialize();
-  conn.out_off = 0;
-  conn.responded = true;
-  // Fresh window for draining the response; a reader that stalls as a
-  // writer is swept (closed) rather than re-answered.
-  conn.deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(options_.read_timeout_ms);
-  struct epoll_event ev {};
-  ev.events = EPOLLOUT;
-  ev.data.u64 = reinterpret_cast<std::uint64_t>(&conn);
-  ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
-}
-
-bool IntrospectionServer::flush(Connection& conn) {
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t sent = ::write(conn.fd, conn.out.data() + conn.out_off,
-                                 conn.out.size() - conn.out_off);
-    if (sent > 0) {
-      conn.out_off += static_cast<std::size_t>(sent);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // retry later
-    if (errno == EINTR) continue;
-    return false;
-  }
-  return false;  // fully flushed: close (we always send Connection: close)
-}
-
-void IntrospectionServer::close_connection(int epoll_fd, Connection& conn) {
-  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
-  const auto it = std::find_if(
-      connections_.begin(), connections_.end(),
-      [&](const std::unique_ptr<Connection>& c) { return c.get() == &conn; });
-  if (it != connections_.end()) connections_.erase(it);
-}
-
-#else  // !MUSTAPLE_HAVE_EPOLL
-
-void IntrospectionServer::serve_loop() {}
-void IntrospectionServer::accept_ready(int) {}
-void IntrospectionServer::sweep_expired(int) {}
-bool IntrospectionServer::connection_ready(int, Connection&, std::uint32_t) {
-  return false;
-}
-void IntrospectionServer::queue_response(int, Connection&, net::HttpResponse) {}
-bool IntrospectionServer::flush(Connection&) { return false; }
-void IntrospectionServer::close_connection(int, Connection&) {}
-
-#endif  // MUSTAPLE_HAVE_EPOLL
 
 net::HttpResponse IntrospectionServer::handle(
     const net::HttpRequest& request) const {

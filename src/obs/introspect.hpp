@@ -1,8 +1,8 @@
-// Pillar 7 (live introspection): a minimal epoll-based HTTP server that
-// makes a running campaign observable from outside the process — the first
-// real-socket code in the repo. It reuses the net::Http{Request,Response}
-// wire machinery the simulated responders already speak, but binds it to an
-// actual TCP listener:
+// Pillar 7 (live introspection): a loopback HTTP port that makes a running
+// campaign observable from outside the process. The routes live here; the
+// serving is one net::SocketServer listener (one worker, keep-alive off),
+// so the port shares the serving mode's accept, framing, 408/431 and flush
+// logic instead of running a loop of its own:
 //
 //   * GET /metrics  — Prometheus text exposition of every attached Registry
 //   * GET /healthz  — liveness ("ok")
@@ -10,7 +10,7 @@
 //                     progress (via a pluggable provider), top profile
 //                     phases
 //
-// Security posture: binds 127.0.0.1 by default and never parses request
+// Security posture: binds 127.0.0.1 by default and never reads request
 // bodies; it is a loopback diagnostics port, not a service endpoint
 // (docs/OBSERVABILITY.md, "Introspection server"). Serving threads only
 // READ observability state, so a live /metrics scrape cannot perturb
@@ -20,17 +20,15 @@
 // (same policy as Registry/Timeline); only the macro layer compiles out.
 #pragma once
 
-#include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/http.hpp"
+#include "net/socket_server.hpp"
 #include "util/mutex.hpp"
 #include "util/result.hpp"
 #include "util/thread_annotations.hpp"
@@ -48,15 +46,15 @@ class IntrospectionServer {
     std::string bind_address = "127.0.0.1";
     /// 0 asks the kernel for an ephemeral port; read it back via port().
     std::uint16_t port = 0;
-    /// Accepted connections beyond this are closed immediately.
-    std::size_t max_connections = 64;
-    /// Requests whose head grows past this are rejected with 431.
-    std::size_t max_request_bytes = 64 * 1024;
-    /// A connection that has not completed its request (or drained its
-    /// response) within this window is answered 408 / closed — a slow or
-    /// stalled loopback client must never pin a connection slot.
-    std::uint64_t read_timeout_ms = 5000;
   };
+
+  /// Accepted connections beyond this are closed immediately.
+  static constexpr std::size_t kMaxConnections = 64;
+  /// Requests whose head or declared body grows past this get a 431.
+  static constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+  /// A request not completed within this window is answered 408 — a slow
+  /// or stalled loopback client must never pin a connection slot.
+  static constexpr std::uint64_t kReadTimeoutMs = 5000;
 
   /// Supplies the free-form middle section of /statusz (campaign progress,
   /// cache hit rates, ...). Called from the serving thread: must be
@@ -67,7 +65,6 @@ class IntrospectionServer {
   explicit IntrospectionServer(Options options);
   IntrospectionServer(const IntrospectionServer&) = delete;
   IntrospectionServer& operator=(const IntrospectionServer&) = delete;
-  ~IntrospectionServer();
 
   /// Attaches a registry rendered at /metrics (and summarized in /statusz).
   /// The pointer must outlive the server. Call before start().
@@ -80,54 +77,33 @@ class IntrospectionServer {
   void set_health(const HealthMonitor* health);
   void set_status_provider(StatusProvider provider);
 
-  /// Binds, listens, and spawns the epoll serving thread. Fails (with a
-  /// stable error code like "introspect.bind") rather than throwing when
-  /// the port is taken.
-  util::Status start();
+  /// Binds, listens, and spawns the serving thread. Fails (with a stable
+  /// error code like "serve.bind") rather than throwing when the port is
+  /// taken.
+  util::Status start() { return server_.start(); }
   /// Stops the serving thread and closes every socket (idempotent).
-  void stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  /// The actually-bound port (resolves Options::port == 0); 0 before start.
-  std::uint16_t port() const { return port_.load(std::memory_order_acquire); }
+  void stop() { server_.stop(); }
+  bool running() const { return server_.running(); }
+  /// The actually-bound port (resolves Options::port == 0); 0 when stopped.
+  std::uint16_t port() const { return server_.port(std::size_t{0}); }
 
   /// The routing core, exposed so tests can exercise handlers without a
   /// socket. Thread-safe.
   net::HttpResponse handle(const net::HttpRequest& request) const;
 
  private:
-  struct Connection;
-
-  void serve_loop();
-  void accept_ready(int epoll_fd);
-  /// Returns false when the connection should be dropped.
-  bool connection_ready(int epoll_fd, Connection& conn, std::uint32_t events);
-  void queue_response(int epoll_fd, Connection& conn,
-                      net::HttpResponse response);
-  /// Returns false once the response is fully flushed (close the socket).
-  bool flush(Connection& conn);
-  void close_connection(int epoll_fd, Connection& conn);
-  /// 408s unresponded connections past their deadline and drops expired
-  /// ones that already have a response queued.
-  void sweep_expired(int epoll_fd);
-  void stop_fds();
-
   std::string render_metrics() const;
   std::string render_statusz() const;
 
-  Options options_;
   std::vector<std::pair<std::string, const Registry*>> registries_;
   const Profiler* profiler_ = nullptr;
   const HealthMonitor* health_ = nullptr;
   mutable util::Mutex provider_mu_;  ///< guards status_provider_ swaps
   StatusProvider status_provider_ MUSTAPLE_GUARDED_BY(provider_mu_);
-
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint16_t> port_{0};
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd poked by stop() to wake epoll_wait
-  std::vector<std::unique_ptr<Connection>> connections_;
+  // Declared last, so it is destroyed first: the serving worker is joined
+  // before the state that handle() reads goes away.
+  // SRCLINT-ALLOW(sl_unguarded_mutex_field): stops before handle()'s state
+  net::SocketServer server_;
 };
 
 }  // namespace mustaple::obs

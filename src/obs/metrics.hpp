@@ -99,16 +99,6 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
-  /// Movable so value holders (Tracer::Node) can live in vectors. The mutex
-  /// is not moved — moving is only sound with no concurrent observers
-  /// (a quiesced-reader precondition, hence the analysis opt-out).
-  Histogram(Histogram&& other) noexcept MUSTAPLE_NO_THREAD_SAFETY_ANALYSIS
-      : bounds_(std::move(other.bounds_)),
-        buckets_(std::move(other.buckets_)),
-        sum_(other.sum_),
-        stats_(other.stats_) {}
-  Histogram& operator=(Histogram&&) = delete;
-
   /// Thread-safe; holds the cell's mutex for the bucket/sum/stats update.
   void observe(double x);
 

@@ -1,10 +1,10 @@
 // mustaple::obs umbrella: one include gives call sites the structured
-// logger, the metrics registry, and trace spans, behind macros that compile
-// to NOTHING when MUSTAPLE_OBS_OFF is defined (e.g. a bench TU that wants
-// to measure the simulator with zero instrumentation cost, or the whole
-// build via -DMUSTAPLE_OBS=OFF). The macro layer is the supported call-site
-// API; the classes behind it stay usable directly when a component wants
-// its own Registry/Logger (tests do).
+// logger, the metrics registry, and the phase profiler, behind macros that
+// compile to NOTHING when MUSTAPLE_OBS_OFF is defined (e.g. a bench TU that
+// wants to measure the simulator with zero instrumentation cost, or the
+// whole build via -DMUSTAPLE_OBS=OFF). The macro layer is the supported
+// call-site API; the classes behind it stay usable directly when a component
+// wants its own Registry/Logger (tests do).
 //
 // Naming convention for metrics: mustaple_<layer>_<name>[_total|_ms], e.g.
 // mustaple_net_fetch_total, mustaple_loop_dispatch_latency_ms.
@@ -14,7 +14,6 @@
 #include "obs/logger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
@@ -57,9 +56,6 @@
   ::mustaple::obs::default_registry().histogram(name_).observe( \
       static_cast<double>(value_))
 
-/// RAII trace span bound to a local variable: MUSTAPLE_SPAN(span, "phase").
-#define MUSTAPLE_SPAN(var_, name_) ::mustaple::obs::Span var_(name_)
-
 #else  // MUSTAPLE_OBS_OFF: every call site vanishes.
 
 #define MUSTAPLE_LOG(level_, component_, message_, ...) ((void)0)
@@ -73,6 +69,5 @@
 #define MUSTAPLE_GAUGE_SET(name_, value_) ((void)0)
 #define MUSTAPLE_GAUGE_MAX(name_, value_) ((void)0)
 #define MUSTAPLE_OBSERVE(name_, value_) ((void)0)
-#define MUSTAPLE_SPAN(var_, name_) ((void)0)
 
 #endif  // MUSTAPLE_OBS_ENABLED

@@ -1,6 +1,6 @@
 // Tests for the obs subsystem: logger level filtering and sinks, metric
-// counter/gauge/histogram semantics, Prometheus/JSON export golden strings,
-// and span nesting/timing.
+// counter/gauge/histogram semantics, and Prometheus/JSON export golden
+// strings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -417,75 +417,6 @@ TEST(Metrics, EmptyHistogramSnapshotIsAllZero) {
   EXPECT_DOUBLE_EQ(snap.sum, 0.0);
   ASSERT_EQ(snap.buckets.size(), 2u);
   EXPECT_EQ(snap.buckets[0] + snap.buckets[1], 0u);
-}
-
-// ----------------------------------------------------------------- spans --
-
-TEST(Spans, NestingBuildsPaths) {
-  Tracer tracer;
-  {
-    Span outer("study", tracer);
-    {
-      Span inner("scan", tracer);
-      { Span leaf("step", tracer); }
-      { Span leaf("step", tracer); }
-    }
-    EXPECT_EQ(tracer.open_depth(), 1);
-  }
-  EXPECT_EQ(tracer.open_depth(), 0);
-  ASSERT_EQ(tracer.nodes().size(), 3u);
-  EXPECT_EQ(tracer.nodes()[0].path, "study");
-  EXPECT_EQ(tracer.nodes()[0].depth, 0);
-  EXPECT_EQ(tracer.nodes()[0].count, 1u);
-  EXPECT_EQ(tracer.nodes()[1].path, "study/scan");
-  EXPECT_EQ(tracer.nodes()[1].depth, 1);
-  EXPECT_EQ(tracer.nodes()[2].path, "study/scan/step");
-  EXPECT_EQ(tracer.nodes()[2].depth, 2);
-  EXPECT_EQ(tracer.nodes()[2].count, 2u);  // aggregated, not duplicated
-}
-
-TEST(Spans, TimingIsMonotoneOverNesting) {
-  Tracer tracer;
-  {
-    Span outer("outer", tracer);
-    {
-      Span inner("inner", tracer);
-      // Burn a little time so the leaf duration is strictly positive.
-      volatile double sink = 0;
-      for (int i = 0; i < 10000; ++i) sink = sink + i * 0.5;
-      (void)sink;
-    }
-  }
-  ASSERT_EQ(tracer.nodes().size(), 2u);
-  const double outer_ms = tracer.nodes()[0].total_ms;
-  const double inner_ms = tracer.nodes()[1].total_ms;
-  EXPECT_GT(inner_ms, 0.0);
-  // A parent fully encloses its child on the steady clock.
-  EXPECT_GE(outer_ms, inner_ms);
-}
-
-TEST(Spans, SummaryRendersIndentedTree) {
-  Tracer tracer;
-  {
-    Span outer("study", tracer);
-    { Span inner("scan", tracer); }
-  }
-  const std::string summary = tracer.summary();
-  EXPECT_NE(summary.find("span summary"), std::string::npos);
-  EXPECT_NE(summary.find("study"), std::string::npos);
-  EXPECT_NE(summary.find("  scan"), std::string::npos);
-  tracer.reset();
-  EXPECT_EQ(tracer.summary(), "");
-  EXPECT_TRUE(tracer.nodes().empty());
-}
-
-TEST(Spans, SiblingsAfterNestedSpanKeepTopLevelDepth) {
-  Tracer tracer;
-  { Span a("a", tracer); }
-  { Span b("b", tracer); }
-  ASSERT_EQ(tracer.nodes().size(), 2u);
-  EXPECT_EQ(tracer.nodes()[1].path, "b");
-  EXPECT_EQ(tracer.nodes()[1].depth, 0);
 }
 
 // ----------------------------------------------------------------- trace --

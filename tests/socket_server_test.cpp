@@ -3,9 +3,10 @@
 // WebServer over genuine loopback TCP. Covers the ISSUE acceptance
 // criterion — a percent-encoded RFC 6960 A.1 GET round-trips over a real
 // socket — plus POSTs, pipelined keep-alive, the 431/408/400 protections,
-// multi-listener port lookup, the wire-level ResponseCache, and (fork-based,
-// compiled out under TSan) the flight recorder dumping a postmortem while a
-// server is live. Linux-only by nature; the file still compiles elsewhere.
+// multi-listener port lookup, exclusive fixed-port binding and restart, the
+// wire-level ResponseCache, and (fork-based, compiled out under TSan) the
+// flight recorder dumping a postmortem while a server is live. Linux-only
+// by nature; the file still compiles elsewhere.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -400,6 +401,58 @@ TEST(SocketServer, StopIsIdempotentAndServerRestartable) {
   const std::string raw = fetch(server.port(std::size_t{0}), "/");
   EXPECT_EQ(raw.rfind("HTTP/1.1", 0), 0u);
   server.stop();
+}
+
+TEST(SocketServer, HeldFixedPortFailsWithServeBind) {
+  Pki pki;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SocketServer::Options options;
+    options.worker_threads = workers;
+    SocketServer first(options);
+    first.add_listener("ocsp", 0, pki.ocsp_handler());
+    ASSERT_TRUE(first.start().ok());
+    const std::uint16_t held = first.port(std::size_t{0});
+
+    // Same user, same options: SO_REUSEPORT alone would let the second
+    // server join the first one's group and take a share of its traffic.
+    SocketServer second(options);
+    second.add_listener("ocsp", held, pki.ocsp_handler());
+    const util::Status status = second.start();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, "serve.bind");
+    EXPECT_FALSE(second.running());
+    EXPECT_EQ(second.port(std::size_t{0}), 0);
+
+    // The holder still answers every connection on its port.
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(fetch(held, "/").rfind("HTTP/1.1", 0), 0u);
+    }
+    EXPECT_EQ(first.stats().requests, 4u);
+    first.stop();
+  }
+}
+
+TEST(SocketServer, RestartsOnTheSameFixedPortAfterServing) {
+  Pki pki;
+  std::uint16_t fixed = 0;
+  {
+    SocketServer first;
+    first.add_listener("ocsp", 0, pki.ocsp_handler());
+    ASSERT_TRUE(first.start().ok());
+    fixed = first.port(std::size_t{0});
+    // The server closes first after a Connection: close response, so its
+    // end of the connection lingers in TIME_WAIT on the fixed port.
+    EXPECT_EQ(fetch(fixed, "/").rfind("HTTP/1.1", 0), 0u);
+    first.stop();
+  }
+  SocketServer second;
+  second.add_listener("ocsp", fixed, pki.ocsp_handler());
+  const util::Status status = second.start();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  EXPECT_EQ(second.port(std::size_t{0}), fixed);
+  EXPECT_EQ(fetch(fixed, "/").rfind("HTTP/1.1", 0), 0u);
+  second.stop();
 }
 
 // ----------------------------------------------------------- ResponseCache --

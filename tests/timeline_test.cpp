@@ -138,7 +138,7 @@ TEST(Timeline, StudyRunsWithObsCompiledOut) {
   core::MustStapleStudy study(config);
   const core::ReadinessReport report = study.run();
   EXPECT_TRUE(report.timeline_summary.empty());
-  EXPECT_TRUE(report.trace_summary.empty());
+  EXPECT_TRUE(report.profile_summary.empty());
   EXPECT_FALSE(report.render().empty());
 }
 
