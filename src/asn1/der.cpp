@@ -12,6 +12,13 @@ Result<T> fail(std::string code, std::string detail = {}) {
   return Result<T>::failure(std::move(code), std::move(detail));
 }
 
+/// Octets a long-form length needs (minimal, as DER requires).
+std::size_t long_form_octets(std::size_t length) {
+  std::size_t octets = 0;
+  for (; length != 0; length >>= 8) ++octets;
+  return octets;
+}
+
 }  // namespace
 
 std::uint8_t context_tag(unsigned n, bool constructed) {
@@ -23,19 +30,44 @@ std::uint8_t context_tag(unsigned n, bool constructed) {
 // Writer
 // ---------------------------------------------------------------------------
 
-void Writer::length(std::size_t n) {
-  if (n < 0x80) {
-    out_.push_back(static_cast<std::uint8_t>(n));
+util::Bytes Writer::take() {
+  out_.shrink_to_fit();
+  return std::move(out_);
+}
+
+void Writer::header(std::uint8_t tag, std::size_t length) {
+  out_.push_back(tag);
+  if (length < 0x80) {
+    out_.push_back(static_cast<std::uint8_t>(length));
     return;
   }
-  std::uint8_t tmp[sizeof(std::size_t)];
-  int count = 0;
-  while (n != 0) {
-    tmp[count++] = static_cast<std::uint8_t>(n & 0xff);
-    n >>= 8;
+  const std::size_t octets = long_form_octets(length);
+  out_.push_back(static_cast<std::uint8_t>(0x80 | octets));
+  for (std::size_t i = octets; i > 0; --i) {
+    out_.push_back(static_cast<std::uint8_t>(length >> (8 * (i - 1))));
   }
-  out_.push_back(static_cast<std::uint8_t>(0x80 | count));
-  for (int i = count - 1; i >= 0; --i) out_.push_back(tmp[i]);
+}
+
+std::size_t Writer::open(std::uint8_t tag) {
+  out_.push_back(tag);
+  out_.push_back(0);  // short-form placeholder, patched by close()
+  return out_.size();
+}
+
+void Writer::close(std::size_t content) {
+  const std::size_t length = out_.size() - content;
+  if (length < 0x80) {
+    out_[content - 1] = static_cast<std::uint8_t>(length);
+    return;
+  }
+  // Long form: shift the content right to make room for the length octets.
+  const std::size_t octets = long_form_octets(length);
+  out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(content), octets, 0);
+  out_[content - 1] = static_cast<std::uint8_t>(0x80 | octets);
+  for (std::size_t i = 0; i < octets; ++i) {
+    out_[content + i] =
+        static_cast<std::uint8_t>(length >> (8 * (octets - 1 - i)));
+  }
 }
 
 void Writer::tlv(std::uint8_t tag, const Bytes& content) {
@@ -43,49 +75,61 @@ void Writer::tlv(std::uint8_t tag, const Bytes& content) {
 }
 
 void Writer::tlv(std::uint8_t tag, util::BytesView content) {
-  out_.push_back(tag);
-  length(content.size());
+  header(tag, content.size());
   util::append(out_, content);
+}
+
+void Writer::text_tlv(std::uint8_t tag, std::string_view text) {
+  header(tag, text.size());
+  out_.insert(out_.end(), text.begin(), text.end());
 }
 
 void Writer::raw(const Bytes& der) { util::append(out_, der); }
 
 void Writer::boolean(bool v) {
-  tlv(static_cast<std::uint8_t>(Tag::kBoolean), Bytes{v ? std::uint8_t{0xff} : std::uint8_t{0x00}});
+  header(static_cast<std::uint8_t>(Tag::kBoolean), 1);
+  out_.push_back(v ? 0xff : 0x00);
 }
 
-void Writer::integer(std::int64_t v) {
-  // Two's-complement big-endian, minimal length.
-  Bytes content;
+void Writer::signed_integer(std::uint8_t tag, std::int64_t v) {
+  // Two's-complement big-endian, minimal length (at most 8 octets).
+  std::uint8_t tmp[8];
+  std::size_t count = 0;
   bool more = true;
   while (more) {
     const auto byte = static_cast<std::uint8_t>(v & 0xff);
     v >>= 8;  // arithmetic shift keeps the sign
     more = !((v == 0 && (byte & 0x80) == 0) || (v == -1 && (byte & 0x80) != 0));
-    content.insert(content.begin(), byte);
+    tmp[count++] = byte;
   }
-  tlv(static_cast<std::uint8_t>(Tag::kInteger), content);
+  header(tag, count);
+  while (count > 0) out_.push_back(tmp[--count]);
+}
+
+void Writer::integer(std::int64_t v) {
+  signed_integer(static_cast<std::uint8_t>(Tag::kInteger), v);
 }
 
 void Writer::integer_bytes(const Bytes& magnitude) {
-  Bytes content = magnitude;
-  // Strip redundant leading zeros.
-  std::size_t i = 0;
-  while (i + 1 < content.size() && content[i] == 0) ++i;
-  content.erase(content.begin(),
-                content.begin() + static_cast<std::ptrdiff_t>(i));
-  if (content.empty()) content.push_back(0);
+  // Strip redundant leading zeros; an empty magnitude encodes zero.
+  std::size_t skip = 0;
+  while (skip + 1 < magnitude.size() && magnitude[skip] == 0) ++skip;
+  const util::BytesView digits = util::BytesView(magnitude).drop_front(skip);
   // Non-negative: prepend 0x00 if the high bit would read as a sign.
-  if (content[0] & 0x80) content.insert(content.begin(), 0x00);
-  tlv(static_cast<std::uint8_t>(Tag::kInteger), content);
+  const bool pad = digits.empty() || (digits[0] & 0x80) != 0;
+  header(static_cast<std::uint8_t>(Tag::kInteger), digits.size() + (pad ? 1 : 0));
+  if (pad) out_.push_back(0x00);
+  util::append(out_, digits);
 }
 
 void Writer::null() {
-  tlv(static_cast<std::uint8_t>(Tag::kNull), util::BytesView{});
+  header(static_cast<std::uint8_t>(Tag::kNull), 0);
 }
 
 void Writer::oid(const Oid& o) {
-  tlv(static_cast<std::uint8_t>(Tag::kOid), o.encode_content());
+  const std::size_t content = open(static_cast<std::uint8_t>(Tag::kOid));
+  o.append_content(out_);
+  close(content);
 }
 
 void Writer::octet_string(const Bytes& content) {
@@ -93,55 +137,30 @@ void Writer::octet_string(const Bytes& content) {
 }
 
 void Writer::bit_string(const Bytes& content, unsigned unused_bits) {
-  Bytes body;
-  body.reserve(content.size() + 1);
-  body.push_back(static_cast<std::uint8_t>(unused_bits & 0x07));
-  util::append(body, content);
-  tlv(static_cast<std::uint8_t>(Tag::kBitString), body);
+  header(static_cast<std::uint8_t>(Tag::kBitString), content.size() + 1);
+  out_.push_back(static_cast<std::uint8_t>(unused_bits & 0x07));
+  util::append(out_, content);
 }
 
 void Writer::utf8_string(const std::string& text) {
-  tlv(static_cast<std::uint8_t>(Tag::kUtf8String), util::bytes_of(text));
+  text_tlv(static_cast<std::uint8_t>(Tag::kUtf8String), text);
 }
 
 void Writer::printable_string(const std::string& text) {
-  tlv(static_cast<std::uint8_t>(Tag::kPrintableString), util::bytes_of(text));
+  text_tlv(static_cast<std::uint8_t>(Tag::kPrintableString), text);
 }
 
 void Writer::ia5_string(const std::string& text) {
-  tlv(static_cast<std::uint8_t>(Tag::kIa5String), util::bytes_of(text));
+  text_tlv(static_cast<std::uint8_t>(Tag::kIa5String), text);
 }
 
 void Writer::generalized_time(util::SimTime t) {
-  tlv(static_cast<std::uint8_t>(Tag::kGeneralizedTime),
-      util::bytes_of(util::to_generalized_time(t)));
+  text_tlv(static_cast<std::uint8_t>(Tag::kGeneralizedTime),
+           util::to_generalized_time(t));
 }
 
 void Writer::enumerated(std::int64_t v) {
-  Writer scratch;
-  scratch.integer(v);
-  Bytes encoded = scratch.take();
-  encoded[0] = static_cast<std::uint8_t>(Tag::kEnumerated);
-  raw(encoded);
-}
-
-void Writer::sequence(const std::function<void(Writer&)>& body) {
-  Writer inner;
-  body(inner);
-  tlv(static_cast<std::uint8_t>(Tag::kSequence), inner.bytes());
-}
-
-void Writer::set(const std::function<void(Writer&)>& body) {
-  Writer inner;
-  body(inner);
-  tlv(static_cast<std::uint8_t>(Tag::kSet), inner.bytes());
-}
-
-void Writer::explicit_context(unsigned n,
-                              const std::function<void(Writer&)>& body) {
-  Writer inner;
-  body(inner);
-  tlv(context_tag(n, /*constructed=*/true), inner.bytes());
+  signed_integer(static_cast<std::uint8_t>(Tag::kEnumerated), v);
 }
 
 void Writer::implicit_context(unsigned n, const Bytes& content) {

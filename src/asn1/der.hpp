@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "asn1/oid.hpp"
 #include "util/bytes.hpp"
@@ -41,13 +41,18 @@ enum class Tag : std::uint8_t {
 /// IMPLICIT/primitive (0x80|n).
 std::uint8_t context_tag(unsigned n, bool constructed);
 
-/// Builds DER bottom-up. Nested structures are written through the
-/// `sequence`/`explicit_context` callbacks, which encode children into a
-/// scratch writer and emit a definite-length TLV.
+/// Builds DER in one buffer. A nested structure writes its tag and a
+/// one-byte length placeholder, lets `body` write the children in place,
+/// and back-patches the definite length when `body` returns; the content
+/// moves right only when the long form needs more length octets. `body`
+/// must write only through the Writer it is handed and must not call
+/// take() or bytes() on an enclosing Writer (DESIGN.md §9).
 class Writer {
  public:
   const util::Bytes& bytes() const { return out_; }
-  util::Bytes take() { return std::move(out_); }
+  /// Moves the encoding out with its capacity trimmed to its size, so
+  /// retained DER (certificates, cached responses) holds no growth slack.
+  util::Bytes take();
 
   void raw(const util::Bytes& der);  ///< splices pre-encoded DER
   void boolean(bool v);
@@ -66,13 +71,30 @@ class Writer {
   void generalized_time(util::SimTime t);
   void enumerated(std::int64_t v);
 
-  /// SEQUENCE whose body is produced by `body`.
-  void sequence(const std::function<void(Writer&)>& body);
+  /// SEQUENCE whose body is produced by `body(Writer&)`.
+  template <typename Body>
+  void sequence(Body&& body) {
+    nested(static_cast<std::uint8_t>(Tag::kSequence), body);
+  }
   /// SET whose body is produced by `body` (caller is responsible for DER
   /// element ordering).
-  void set(const std::function<void(Writer&)>& body);
+  template <typename Body>
+  void set(Body&& body) {
+    nested(static_cast<std::uint8_t>(Tag::kSet), body);
+  }
   /// [n] EXPLICIT wrapping of `body`.
-  void explicit_context(unsigned n, const std::function<void(Writer&)>& body);
+  template <typename Body>
+  void explicit_context(unsigned n, Body&& body) {
+    nested(context_tag(n, /*constructed=*/true), body);
+  }
+  /// A TLV of any tag whose content `body` writes in place, e.g. an OCTET
+  /// STRING that encapsulates DER or an IMPLICIT-tagged constructed value.
+  template <typename Body>
+  void nested(std::uint8_t tag, Body&& body) {
+    const std::size_t content = open(tag);
+    body(*this);
+    close(content);
+  }
   /// [n] IMPLICIT primitive with raw content octets.
   void implicit_context(unsigned n, const util::Bytes& content);
 
@@ -83,7 +105,13 @@ class Writer {
   void tlv(std::uint8_t tag, util::BytesView content);
 
  private:
-  void length(std::size_t n);
+  void header(std::uint8_t tag, std::size_t length);
+  void signed_integer(std::uint8_t tag, std::int64_t v);
+  void text_tlv(std::uint8_t tag, std::string_view text);
+  /// Writes `tag` and a length placeholder; returns where the content starts.
+  std::size_t open(std::uint8_t tag);
+  /// Back-patches the length of the TLV whose content starts at `content`.
+  void close(std::size_t content);
   util::Bytes out_;
 };
 

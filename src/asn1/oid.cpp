@@ -42,9 +42,8 @@ util::Result<Oid> Oid::parse(const std::string& dotted) {
   return Oid(std::move(arcs));
 }
 
-util::Bytes Oid::encode_content() const {
-  util::Bytes out;
-  if (arcs_.size() < 2) return out;  // caller validates; empty = invalid
+void Oid::append_content(util::Bytes& out) const {
+  if (arcs_.size() < 2) return;  // caller validates; empty = invalid
   auto put_base128 = [&out](std::uint64_t v) {
     std::uint8_t tmp[10];
     int n = 0;
@@ -58,7 +57,6 @@ util::Bytes Oid::encode_content() const {
   };
   put_base128(static_cast<std::uint64_t>(arcs_[0]) * 40 + arcs_[1]);
   for (std::size_t i = 2; i < arcs_.size(); ++i) put_base128(arcs_[i]);
-  return out;
 }
 
 util::Result<Oid> Oid::decode_content(util::BytesView content) {

@@ -31,8 +31,9 @@ class Oid {
   /// than two arcs.
   static util::Result<Oid> parse(const std::string& dotted);
 
-  /// DER content octets (without the tag/length header).
-  util::Bytes encode_content() const;
+  /// Appends the DER content octets (without the tag/length header) to
+  /// `out`; the DER writer calls it on its own buffer.
+  void append_content(util::Bytes& out) const;
 
   /// Decodes DER content octets. The view overload is the implementation;
   /// the const-ref overload keeps temporaries (e.g. brace literals) legal —

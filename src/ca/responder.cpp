@@ -89,7 +89,7 @@ void OcspResponder::set_try_later(bool value) {
 std::size_t OcspResponder::cache_entries() const {
   util::MutexLock lock(mu_);
   std::size_t entries = 0;
-  for (const auto& [serial, per_backend] : cache_) {
+  for (const auto& [id, per_backend] : cache_) {
     for (const CacheEntry& entry : per_backend) {
       if (entry.cycle >= 0) ++entries;
     }
@@ -214,33 +214,54 @@ util::Bytes OcspResponder::build_response_der(
                     static_cast<std::uint64_t>(now.unix_seconds)) %
                 static_cast<std::uint64_t>(behavior_.backends))
           : 0;
-  const std::string serial_hex = util::to_hex(id.serial);
-  util::MutexLock lock(mu_);
-
-  // Pre-generation cache: one signed encoding per (serial, backend, cycle).
   const util::SimTime gen_time = generation_time(now, backend);
+  // Only on-demand generation can echo a per-request nonce; a cached
+  // response is shared across requests.
+  if (!behavior_.pre_generate) return sign_response(id, gen_time, nonce);
+  return pregenerated_response(id, gen_time, backend);
+}
+
+util::Bytes OcspResponder::pregenerated_response(const ocsp::CertId& id,
+                                                 util::SimTime gen_time,
+                                                 int backend) {
   const std::int64_t interval = behavior_.update_interval.seconds;
-  const std::int64_t cycle =
-      behavior_.pre_generate && interval > 0 ? gen_time.unix_seconds / interval
-                                             : now.unix_seconds;
-  if (behavior_.pre_generate) {
-    auto& entries = cache_[serial_hex];
-    entries.resize(static_cast<std::size_t>(behavior_.backends));
-    auto& entry = entries[static_cast<std::size_t>(backend)];
-    if (entry.cycle == cycle && !entry.der.empty()) {
-      MUSTAPLE_COUNT("mustaple_ca_ocsp_cache_hits_total");
-      return entry.der;
-    }
+  const std::int64_t cycle = interval > 0 ? gen_time.unix_seconds / interval
+                                          : gen_time.unix_seconds;
+  // One signed encoding per (CertID, backend, cycle). The lock is held
+  // across a miss's signing so concurrent probes never sign it twice.
+  util::MutexLock lock(mu_);
+  auto& entries = cache_[id];
+  entries.resize(static_cast<std::size_t>(behavior_.backends));
+  CacheEntry& entry = entries[static_cast<std::size_t>(backend)];
+  if (entry.cycle == cycle && !entry.der.empty()) {
+    MUSTAPLE_COUNT("mustaple_ca_ocsp_cache_hits_total");
+    return entry.der;
   }
+  util::Bytes der = sign_response(id, gen_time, std::nullopt);
+  // A fresh signing of a cached CertID is one regeneration cycle.
+  MUSTAPLE_COUNT("mustaple_ca_ocsp_regenerations_total");
+  // Keep the "ca.response_cache" tally equal to the DER bytes resident in
+  // cache_: credit the encoding being replaced, charge its successor.
+  if (!entry.der.empty()) cache_tally_.release(entry.der.size());
+  cache_tally_.record(der.size());
+  entry = CacheEntry{cycle, der};
+  return der;
+}
+
+util::Bytes OcspResponder::sign_response(
+    const ocsp::CertId& id, util::SimTime gen_time,
+    const std::optional<util::Bytes>& nonce) const {
+  const util::SimTime this_update = gen_time - behavior_.this_update_margin;
+  std::optional<util::SimTime> next_update;
+  if (behavior_.validity) next_update = this_update + *behavior_.validity;
 
   ocsp::SingleResponse single;
   single.cert_id = id;
   if (behavior_.wrong_serial) {
     // Flip the low byte so the serial no longer matches the request.
-    util::Bytes mutated = id.serial;
+    util::Bytes& mutated = single.cert_id.serial;
     if (mutated.empty()) mutated.push_back(0);
     mutated.back() ^= 0xff;
-    single.cert_id.serial = mutated;
   }
   // Requests naming a different issuer (wrong name/key hash) get Unknown:
   // "the certificate is not served by this responder" (§2.2).
@@ -256,26 +277,21 @@ util::Bytes OcspResponder::build_response_der(
   } else {
     single.status = ocsp::CertStatus::kUnknown;
   }
-  single.this_update = gen_time - behavior_.this_update_margin;
-  if (behavior_.validity) {
-    single.next_update = single.this_update + *behavior_.validity;
-  }
+  single.this_update = this_update;
+  single.next_update = next_update;
 
   ocsp::OcspResponseBuilder builder;
-  builder.produced_at(gen_time).add_single(single);
-  // Only on-demand generation can echo a per-request nonce; a cached
-  // response is shared across requests.
-  if (nonce && !behavior_.pre_generate) builder.nonce(*nonce);
+  builder.produced_at(gen_time).add_single(std::move(single));
+  if (nonce) builder.nonce(*nonce);
 
-  // Unsolicited extra serials (Fig 7).
+  // Unsolicited extra serials (Fig 7), each Good for the same window.
   for (int i = 0; i < behavior_.extra_serials; ++i) {
-    ocsp::SingleResponse extra = single;
-    util::Bytes extra_serial = id.serial;
-    extra_serial.push_back(static_cast<std::uint8_t>(i + 1));
-    extra.cert_id.serial = extra_serial;
-    extra.status = ocsp::CertStatus::kGood;
-    extra.revoked.reset();
-    builder.add_single(extra);
+    ocsp::SingleResponse extra;
+    extra.cert_id = id;
+    extra.cert_id.serial.push_back(static_cast<std::uint8_t>(i + 1));
+    extra.this_update = this_update;
+    extra.next_update = next_update;
+    builder.add_single(std::move(extra));
   }
 
   // Certificates: delegation cert (if any) + superfluous extras (Fig 6).
@@ -290,33 +306,17 @@ util::Bytes OcspResponder::build_response_der(
                                 : authority_->root_cert());
   }
 
-  ocsp::OcspResponse response;
   if (behavior_.bad_signature) {
     // Sign with a key unrelated to the CA: the response stays well-formed
     // but fails client-side signature validation (§5.3 "Incorrect
     // signature").
     util::Rng throwaway = rng_.fork("bad-signature");
-    response = builder.sign(crypto::KeyPair::generate_sim(throwaway));
-  } else {
-    response = builder.sign(behavior_.delegate_signing
-                                ? delegate_key_
-                                : authority_->intermediate_key());
+    return builder.sign(crypto::KeyPair::generate_sim(throwaway)).encode_der();
   }
-
-  util::Bytes der = response.encode_der();
-  if (behavior_.pre_generate) {
-    // A fresh signing of a cached serial is one regeneration cycle.
-    MUSTAPLE_COUNT("mustaple_ca_ocsp_regenerations_total");
-    auto& entries = cache_[serial_hex];
-    entries.resize(static_cast<std::size_t>(behavior_.backends));
-    auto& slot = entries[static_cast<std::size_t>(backend)];
-    // Keep the "ca.response_cache" tally equal to the DER bytes resident in
-    // cache_: credit the encoding being replaced, charge its successor.
-    if (!slot.der.empty()) cache_tally_.release(slot.der.size());
-    cache_tally_.record(der.size());
-    slot = CacheEntry{cycle, der};
-  }
-  return der;
+  return builder
+      .sign(behavior_.delegate_signing ? delegate_key_
+                                       : authority_->intermediate_key())
+      .encode_der();
 }
 
 }  // namespace mustaple::ca

@@ -72,10 +72,16 @@ struct ResponderBehavior {
 };
 
 /// A responder instance. Stateless between requests except for the
-/// pre-generation cache (latest cycle per serial/backend), which is
-/// mutex-protected so concurrent scanner probes can hit one responder; the
-/// lock is held across a cache miss's signing so each (serial, backend,
-/// cycle) is generated exactly once regardless of probe interleaving.
+/// pre-generation cache: the latest cycle's encoding per (CertID, backend),
+/// keyed by the whole CertID (issuer name hash, issuer key hash, serial) so
+/// a request naming the wrong issuer cannot poison the answer to the right
+/// one. The mutex guards that cache and nothing else: pre-generated
+/// responders hold it across a miss's signing, so each (CertID, backend,
+/// cycle) is generated exactly once regardless of probe interleaving, and
+/// on-demand responders sign without taking it. Neither path locks the CA,
+/// whose revocation database every signing reads: the CA must not be
+/// changed (CertificateAuthority::issue/revoke) while the responder serves
+/// concurrent requests.
 class OcspResponder {
  public:
   OcspResponder(CertificateAuthority& authority, ResponderBehavior behavior,
@@ -110,9 +116,10 @@ class OcspResponder {
 
   /// Adapts handle() to a real-socket listener (net::SocketServer): `clock`
   /// supplies the SimTime "now" per request — wall-anchored for live
-  /// serving, fixed for benchmarks. Safe on concurrent worker threads:
-  /// handle() already serializes its pre-generation cache internally. The
-  /// responder must outlive the returned handler.
+  /// serving, fixed for benchmarks. Safe on concurrent worker threads while
+  /// the CA is not changed: the pre-generation cache is the only state a
+  /// request writes, and it is locked. The responder must outlive the
+  /// returned handler.
   net::WireHandler wire_handler(std::function<util::SimTime()> clock);
 
   /// Builds (or serves from cache) the response for one CertID.
@@ -129,6 +136,16 @@ class OcspResponder {
  private:
   bool malform_active(util::SimTime now) const;
   util::SimTime generation_time(util::SimTime now, int backend) const;
+  /// The pre-generated path: serves, or signs and caches, the encoding for
+  /// (CertID, backend, cycle of `gen_time`) under mu_.
+  util::Bytes pregenerated_response(const ocsp::CertId& id,
+                                    util::SimTime gen_time, int backend);
+  /// Signs and encodes a fresh response. Reads the responder's
+  /// construction-time state and the CA's revocation database, never the
+  /// cache, so the on-demand path calls it without mu_ (the CA must not
+  /// change while responders serve; see the class comment).
+  util::Bytes sign_response(const ocsp::CertId& id, util::SimTime gen_time,
+                            const std::optional<util::Bytes>& nonce) const;
 
   CertificateAuthority* authority_;
   ResponderBehavior behavior_;  ///< immutable after construction
@@ -160,9 +177,9 @@ class OcspResponder {
     std::int64_t cycle = -1;
     util::Bytes der;
   };
-  // serial hex -> per-backend cached encoding for the current cycle.
+  // CertID -> per-backend cached encoding for the current cycle.
   mutable util::Mutex mu_;  ///< guards cache_ across lookup + generation
-  std::map<std::string, std::vector<CacheEntry>> cache_
+  std::map<ocsp::CertId, std::vector<CacheEntry>> cache_
       MUSTAPLE_GUARDED_BY(mu_);
   /// DER bytes resident in cache_, charged to "ca.response_cache" (updated
   /// under mu_; released wholesale on destruction).

@@ -29,12 +29,18 @@ bool FaultRule::applies(const std::string& host, Region from,
   return true;
 }
 
-void FaultPlan::add(FaultRule rule) { rules_.push_back(std::move(rule)); }
+void FaultPlan::add(FaultRule rule) {
+  std::vector<FaultRule>& host_rules = rules_[rule.canonical_host];
+  host_rules.push_back(std::move(rule));
+  ++size_;
+}
 
 std::optional<FaultMode> FaultPlan::check(const std::string& canonical_host,
                                           Region from,
                                           util::SimTime now) const {
-  for (const auto& rule : rules_) {
+  const auto host = rules_.find(canonical_host);
+  if (host == rules_.end()) return std::nullopt;
+  for (const FaultRule& rule : host->second) {
     if (rule.applies(canonical_host, from, now)) return rule.mode;
   }
   return std::nullopt;

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/vantage.hpp"
@@ -55,14 +56,19 @@ class FaultPlan {
  public:
   void add(FaultRule rule);
 
-  /// First matching rule, or nullopt when the request should succeed.
+  /// First matching rule in insertion order, or nullopt when the request
+  /// should succeed. Only the probed host's rules are scanned: no other
+  /// rule can match, so the first match is the same as a full scan's.
   std::optional<FaultMode> check(const std::string& canonical_host,
                                  Region from, util::SimTime now) const;
 
-  std::size_t size() const { return rules_.size(); }
+  std::size_t size() const { return size_; }
 
  private:
-  std::vector<FaultRule> rules_;
+  /// canonical host -> that host's rules in insertion order. Lookup only,
+  /// never iterated, so the hash order cannot reach any output.
+  std::unordered_map<std::string, std::vector<FaultRule>> rules_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace mustaple::net

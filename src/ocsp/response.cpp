@@ -1,6 +1,7 @@
 #include "ocsp/response.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "asn1/der.hpp"
 
@@ -32,16 +33,16 @@ void encode_single(Writer& w, const SingleResponse& single) {
         break;
       case CertStatus::kRevoked: {
         // [1] IMPLICIT RevokedInfo (constructed).
-        Writer info;
         const RevokedInfo& rev =
             single.revoked.value_or(RevokedInfo{single.this_update, {}});
-        info.generalized_time(rev.revocation_time);
-        if (rev.reason) {
-          info.explicit_context(0, [&](Writer& reason) {
-            reason.enumerated(static_cast<std::int64_t>(*rev.reason));
-          });
-        }
-        s.tlv(asn1::context_tag(1, /*constructed=*/true), info.bytes());
+        s.nested(asn1::context_tag(1, /*constructed=*/true), [&](Writer& info) {
+          info.generalized_time(rev.revocation_time);
+          if (rev.reason) {
+            info.explicit_context(0, [&](Writer& reason) {
+              reason.enumerated(static_cast<std::int64_t>(*rev.reason));
+            });
+          }
+        });
         break;
       }
       case CertStatus::kUnknown:
@@ -131,23 +132,22 @@ util::Bytes OcspResponse::encode_der() const {
       response.explicit_context(0, [&](Writer& rb) {
         rb.sequence([&](Writer& response_bytes) {
           response_bytes.oid(asn1::oids::ocsp_basic());
-          // BasicOCSPResponse, wrapped in an OCTET STRING.
-          Writer basic;
-          basic.sequence([&](Writer& b) {
-            b.raw(tbs_der_);
-            write_alg(b, sig_alg_);
-            b.bit_string(signature_);
-            if (!certs_.empty()) {
-              b.explicit_context(0, [&](Writer& certs_wrap) {
-                certs_wrap.sequence([&](Writer& list) {
-                  for (const auto& cert : certs_) {
-                    list.raw(cert.encode_der());
+          // BasicOCSPResponse, written in place inside its OCTET STRING.
+          response_bytes.nested(
+              static_cast<std::uint8_t>(Tag::kOctetString), [&](Writer& octets) {
+                octets.sequence([&](Writer& b) {
+                  b.raw(tbs_der_);
+                  write_alg(b, sig_alg_);
+                  b.bit_string(signature_);
+                  if (!certs_.empty()) {
+                    b.explicit_context(0, [&](Writer& certs_wrap) {
+                      certs_wrap.sequence([&](Writer& list) {
+                        for (const auto& cert : certs_) cert.encode(list);
+                      });
+                    });
                   }
                 });
               });
-            }
-          });
-          response_bytes.octet_string(basic.bytes());
         });
       });
     }
@@ -319,7 +319,7 @@ OcspResponseBuilder& OcspResponseBuilder::nonce(util::Bytes value) {
   return *this;
 }
 
-OcspResponse OcspResponseBuilder::sign(const crypto::KeyPair& key) const {
+OcspResponse OcspResponseBuilder::sign(const crypto::KeyPair& key) {
   Writer tbs;
   tbs.sequence([&](Writer& body) {
     body.generalized_time(produced_at_);
@@ -341,9 +341,9 @@ OcspResponse OcspResponseBuilder::sign(const crypto::KeyPair& key) const {
   OcspResponse out;
   out.response_status_ = ResponseStatus::kSuccessful;
   out.produced_at_ = produced_at_;
-  out.nonce_ = nonce_;
-  out.responses_ = responses_;
-  out.certs_ = certs_;
+  out.nonce_ = std::exchange(nonce_, std::nullopt);
+  out.responses_ = std::exchange(responses_, {});
+  out.certs_ = std::exchange(certs_, {});
   out.sig_alg_ = key.algorithm();
   out.tbs_der_ = tbs.take();
   out.signature_ = key.sign(out.tbs_der_);

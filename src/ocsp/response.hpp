@@ -87,7 +87,9 @@ class OcspResponseBuilder {
   OcspResponseBuilder& add_cert(x509::Certificate cert);
   OcspResponseBuilder& nonce(util::Bytes value);
 
-  OcspResponse sign(const crypto::KeyPair& key) const;
+  /// Signs and hands the SingleResponses, certificates and nonce over to
+  /// the response without copying them; the builder is left empty.
+  OcspResponse sign(const crypto::KeyPair& key);
 
  private:
   util::SimTime produced_at_{};

@@ -26,6 +26,7 @@ struct CertId {
                                 const x509::Certificate& issuer);
 
   friend bool operator==(const CertId&, const CertId&) = default;
+  friend auto operator<=>(const CertId&, const CertId&) = default;
 };
 
 /// certStatus values (paper §2.2).

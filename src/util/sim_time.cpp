@@ -86,10 +86,19 @@ std::string format_time(SimTime t) {
 
 std::string to_generalized_time(SimTime t) {
   const CivilTime c = to_civil(t);
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%04d%02d%02d%02d%02d%02dZ", c.year, c.month,
-                c.day, c.hour, c.minute, c.second);
-  return buf;
+  if (c.year < 0 || c.year > 9999) {
+    throw std::invalid_argument("to_generalized_time: year outside 0-9999");
+  }
+  // Written digit pair by digit pair: the 15 characters fit the string's
+  // inline buffer, so this allocates nothing.
+  std::string out(15, 'Z');
+  std::size_t pos = 0;
+  for (const int pair : {c.year / 100, c.year % 100, c.month, c.day, c.hour,
+                         c.minute, c.second}) {
+    out[pos++] = static_cast<char>('0' + pair / 10);
+    out[pos++] = static_cast<char>('0' + pair % 10);
+  }
+  return out;
 }
 
 SimTime from_generalized_time(const std::string& text) {

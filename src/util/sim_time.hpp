@@ -60,7 +60,8 @@ CivilTime to_civil(SimTime t);
 /// "YYYY-MM-DD HH:MM:SS" (UTC), for reports and logs.
 std::string format_time(SimTime t);
 
-/// ASN.1 GeneralizedTime: "YYYYMMDDHHMMSSZ".
+/// ASN.1 GeneralizedTime: "YYYYMMDDHHMMSSZ". Throws std::invalid_argument
+/// for a year outside 0-9999, which has no four-digit form.
 std::string to_generalized_time(SimTime t);
 
 /// Parses "YYYYMMDDHHMMSSZ"; throws std::invalid_argument on malformed input.

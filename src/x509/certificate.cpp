@@ -230,12 +230,16 @@ bool Certificate::verify_signature(const crypto::PublicKey& issuer_key) const {
 
 util::Bytes Certificate::encode_der() const {
   Writer w;
+  encode(w);
+  return w.take();
+}
+
+void Certificate::encode(Writer& w) const {
   w.sequence([&](Writer& cert) {
     cert.raw(tbs_der_);
     write_algorithm_identifier(cert, signature_oid_for(sig_alg_));
     cert.bit_string(signature_);
   });
-  return w.take();
 }
 
 util::Result<Certificate> Certificate::parse(const util::Bytes& der) {

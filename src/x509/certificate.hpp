@@ -85,6 +85,8 @@ class Certificate {
 
   /// Full DER: SEQUENCE { tbs, algorithm, BIT STRING signature }.
   util::Bytes encode_der() const;
+  /// Writes the same DER in place (e.g. into an OCSP response's certs).
+  void encode(asn1::Writer& w) const;
 
   /// Parses DER; classifies malformed input via Result (never throws).
   static util::Result<Certificate> parse(const util::Bytes& der);

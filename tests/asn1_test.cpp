@@ -42,7 +42,9 @@ TEST(Oid, KnownEncoding) {
   // 1.2.840.113549 encodes as 2a 86 48 86 f7 0d.
   auto oid = Oid::parse("1.2.840.113549");
   ASSERT_TRUE(oid.ok());
-  EXPECT_EQ(util::to_hex(oid.value().encode_content()), "2a864886f70d");
+  Bytes content;
+  oid.value().append_content(content);
+  EXPECT_EQ(util::to_hex(content), "2a864886f70d");
 }
 
 TEST(Oid, DecodeRejectsTruncatedArc) {
@@ -63,7 +65,9 @@ class OidRoundTrip : public ::testing::TestWithParam<const char*> {};
 TEST_P(OidRoundTrip, EncodeDecode) {
   auto oid = Oid::parse(GetParam());
   ASSERT_TRUE(oid.ok());
-  auto decoded = Oid::decode_content(oid.value().encode_content());
+  Bytes content;
+  oid.value().append_content(content);
+  auto decoded = Oid::decode_content(content);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), oid.value());
   EXPECT_EQ(decoded.value().to_string(), GetParam());
@@ -170,6 +174,86 @@ TEST(DerWriter, ExplicitContextWraps) {
   Writer w;
   w.explicit_context(0, [](Writer& inner) { inner.integer(2); });
   EXPECT_EQ(util::to_hex(w.bytes()), "a003020102");
+}
+
+TEST(DerWriter, BackPatchedLengthsAtFormBoundaries) {
+  // SEQUENCE { INTEGER 7, SEQUENCE { <n content bytes> }, BOOLEAN TRUE }:
+  // the inner length is patched first, and when its long form shifts the
+  // content right the outer length must count the extra octets too.
+  struct Case {
+    std::size_t content;
+    const char* outer_header;  // outer content = 3 + inner TLV + 3
+    const char* inner_header;
+  };
+  const Case cases[] = {
+      {127, "308187", "307f"},               // 3 + 2 + 127 + 3 = 135
+      {128, "308189", "308180"},             // 3 + 3 + 128 + 3 = 137
+      {255, "30820108", "3081ff"},           // 3 + 3 + 255 + 3 = 264
+      {256, "3082010a", "30820100"},         // 3 + 4 + 256 + 3 = 266
+      {65535, "3083010009", "3082ffff"},     // 3 + 4 + 65535 + 3 = 65545
+      {65536, "308301000b", "3083010000"},   // 3 + 5 + 65536 + 3 = 65547
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.content);
+    const Bytes content(c.content, 0xab);
+    Writer w;
+    w.sequence([&](Writer& outer) {
+      outer.integer(7);
+      outer.sequence([&](Writer& inner) { inner.raw(content); });
+      outer.boolean(true);
+    });
+    Bytes expected = util::from_hex(std::string(c.outer_header) + "020107" +
+                                    c.inner_header);
+    util::append(expected, content);
+    util::append(expected, util::from_hex("0101ff"));
+    EXPECT_EQ(util::to_hex(Bytes(w.bytes().begin(),
+                                 w.bytes().begin() + 12)),
+              util::to_hex(Bytes(expected.begin(), expected.begin() + 12)));
+    EXPECT_TRUE(w.bytes() == expected);
+  }
+}
+
+TEST(DerWriter, LongFormInsideLongFormThreeDeep) {
+  // [0] { SEQUENCE { OCTET STRING (300 bytes) } }: every level needs two
+  // length octets, so each close() shifts content already shifted once.
+  Writer w;
+  w.explicit_context(0, [](Writer& ctx) {
+    ctx.sequence([](Writer& seq) { seq.octet_string(Bytes(300, 0x11)); });
+  });
+  Bytes expected = util::from_hex("a0820134" "30820130" "0482012c");
+  util::append(expected, Bytes(300, 0x11));
+  EXPECT_TRUE(w.bytes() == expected);
+}
+
+TEST(DerWriter, EmptySequences) {
+  Writer w;
+  w.sequence([](Writer&) {});
+  w.sequence([](Writer& outer) { outer.sequence([](Writer&) {}); });
+  w.set([](Writer&) {});
+  EXPECT_EQ(util::to_hex(w.bytes()), "3000" "30023000" "3100");
+}
+
+TEST(DerWriter, NestedBodiesWriteIntoTheSameBuffer) {
+  // One buffer, no scratch Writer per level: the body is handed the very
+  // Writer it nests in, so it must write only through that argument.
+  Writer w;
+  w.sequence([&](Writer& inner) {
+    EXPECT_EQ(&inner, &w);
+    inner.null();
+  });
+  EXPECT_EQ(util::to_hex(w.bytes()), "30020500");
+}
+
+TEST(DerWriter, TakeTrimsCapacityToSize) {
+  Writer w;
+  w.sequence([](Writer& seq) {
+    for (int i = 0; i < 100; ++i) seq.integer(i * 1000);
+    seq.octet_string(Bytes(200, 0x22));  // forces a long-form shift
+  });
+  const std::size_t size = w.bytes().size();
+  const Bytes der = w.take();
+  EXPECT_EQ(der.size(), size);
+  EXPECT_EQ(der.capacity(), der.size());
 }
 
 // ----------------------------------------------------------- DER reader --

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ca/authority.hpp"
 #include "ca/crl_server.hpp"
 #include "ca/responder.hpp"
+#include "crypto/sha256.hpp"
+#include "obs/obs.hpp"
 #include "ocsp/request.hpp"
 #include "ocsp/verify.hpp"
 #include "x509/verify.hpp"
@@ -312,6 +316,33 @@ TEST_F(ResponderFixture, PreGeneratedResponsesStableWithinCycle) {
   EXPECT_GT(v3.produced_at.unix_seconds, v1.produced_at.unix_seconds);
 }
 
+TEST_F(ResponderFixture, WrongIssuerRequestDoesNotPoisonTheCycle) {
+  // Regression: the pre-generation cache was keyed by serial alone, so the
+  // Unknown answered to a CertID with the right serial but wrong issuer
+  // hashes was served, echoing those hashes, to every correct request for
+  // that serial until the next cycle.
+  OcspResponder responder(authority, ResponderBehavior{}, "ocsp.poison.example",
+                          rng);
+  responder.install(network);
+  const auto leaf = issue("poison.example");
+  authority.revoke(leaf.serial(), kNow - Duration::days(1),
+                   crl::ReasonCode::kKeyCompromise, RevocationPolicy{});
+  ocsp::CertId bogus = id_for(leaf);
+  bogus.issuer_name_hash.assign(20, 0x5a);
+  bogus.issuer_key_hash.assign(20, 0xa5);
+  const auto bogus_answer =
+      ocsp::OcspResponse::parse(responder.build_response_der(bogus, kNow));
+  ASSERT_TRUE(bogus_answer.ok());
+  ASSERT_EQ(bogus_answer.value().responses().size(), 1u);
+  EXPECT_EQ(bogus_answer.value().responses()[0].status,
+            ocsp::CertStatus::kUnknown);
+
+  const auto verdict = probe(responder, leaf, kNow);
+  EXPECT_EQ(verdict.outcome, ocsp::CheckOutcome::kOk);
+  EXPECT_EQ(verdict.status, ocsp::CertStatus::kRevoked);
+  EXPECT_EQ(responder.cache_entries(), 2u);
+}
+
 TEST_F(ResponderFixture, TryLaterMode) {
   OcspResponder responder(authority, ResponderBehavior{}, "ocsp.tl.example",
                           rng);
@@ -362,6 +393,85 @@ TEST_F(ResponderFixture, TryLaterFlipsAreSafeAgainstConcurrentServing) {
   }
   stop.store(true);
   toggler.join();
+}
+
+TEST_F(ResponderFixture, OnDemandConcurrentBuildsMatchSequentialBuilds) {
+  // On-demand responders sign without the responder lock; concurrent builds
+  // for distinct CertIDs and nonces must still produce exactly the bytes a
+  // sequential build does. Run under TSan for the data-race half.
+  ResponderBehavior behavior;
+  behavior.pre_generate = false;
+  behavior.extra_serials = 2;
+  behavior.delegate_signing = true;
+  OcspResponder responder(authority, behavior, "ocsp.par.example", rng);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 16;
+  std::vector<ocsp::CertId> ids;
+  std::vector<Bytes> nonces;
+  std::vector<Bytes> expected;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    ids.push_back(id_for(issue("par" + std::to_string(i) + ".example")));
+    nonces.push_back(Bytes(16, static_cast<std::uint8_t>(i)));
+    expected.push_back(responder.build_response_der(ids.back(), kNow,
+                                                    nonces.back()));
+  }
+  std::vector<Bytes> built(expected.size());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kPerThread; ++k) {
+        const auto i = static_cast<std::size_t>(k * kThreads + t);
+        built[i] = responder.build_response_der(ids[i], kNow, nonces[i]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(built[i], expected[i]) << "CertID " << i;
+  }
+  EXPECT_EQ(responder.cache_entries(), 0u);
+}
+
+TEST_F(ResponderFixture, PreGeneratedConcurrentRequestsSignOncePerCertId) {
+  // Pre-generated responders hold the lock across a miss's signing: four
+  // threads asking for the same CertIDs in one cycle sign each exactly once.
+  // The wrong-issuer twin of every CertID is a cache entry of its own.
+  OcspResponder responder(authority, ResponderBehavior{}, "ocsp.pgpar.example",
+                          rng);
+  std::vector<ocsp::CertId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(id_for(issue("pgpar" + std::to_string(i) + ".example")));
+    ocsp::CertId twin = ids.back();
+    twin.issuer_key_hash.assign(20, 0x33);
+    ids.push_back(twin);
+  }
+#if MUSTAPLE_OBS_ENABLED
+  const auto regenerations = [] {
+    return obs::default_registry().counter_value(
+        "mustaple_ca_ocsp_regenerations_total");
+  };
+  const std::uint64_t before = regenerations();
+#endif
+  std::vector<std::vector<Bytes>> answers(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (const auto& id : ids) {
+          answers[static_cast<std::size_t>(t)].push_back(
+              responder.build_response_der(id, kNow + Duration::secs(round)));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+#if MUSTAPLE_OBS_ENABLED
+  EXPECT_EQ(regenerations() - before, ids.size());
+#endif
+  EXPECT_EQ(responder.cache_entries(), ids.size());
+  for (const auto& per_thread : answers) {
+    EXPECT_EQ(per_thread, answers[0]);  // every thread saw the cached bytes
+  }
 }
 
 TEST_F(ResponderFixture, GetWithBadPathIsMalformedRequest) {
@@ -424,6 +534,133 @@ TEST_F(ResponderFixture, GarbageRequestGetsMalformedRequestStatus) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().response_status(),
             ocsp::ResponseStatus::kMalformedRequest);
+}
+
+// ------------------------------------------------------------- wire bytes --
+
+// Pins the exact DER of every structure the CA side encodes: certificates,
+// a CRL, OCSP requests, and each response shape the responder produces. A
+// parse round trip cannot catch an encoder that changes bytes but still
+// emits valid DER; this hash of the concatenated encodings does. The
+// constant predates the single-buffer DER writer; an encoder refactor must
+// reproduce it, never update it.
+TEST_F(ResponderFixture, EncodedDerMatchesGolden) {
+  Bytes all;
+  std::size_t objects = 0;
+  const auto add = [&](const Bytes& der) {
+    util::append(all, der);
+    ++objects;
+    return der;
+  };
+  const auto parse = [](const Bytes& der) {
+    auto response = ocsp::OcspResponse::parse(der);
+    EXPECT_TRUE(response.ok()) << response.error().to_string();
+    return response.ok() ? std::move(response).take() : ocsp::OcspResponse{};
+  };
+
+  add(authority.root_cert().encode_der());
+  add(authority.intermediate_cert().encode_der());
+  const x509::Certificate staple = issue("golden-staple.example", true);
+  const x509::Certificate plain = issue("golden-plain.example");
+  const x509::Certificate compromised = issue("golden-compromised.example");
+  const x509::Certificate superseded = issue("golden-superseded.example");
+  const x509::Certificate no_reason = issue("golden-no-reason.example");
+  add(staple.encode_der());
+  add(plain.encode_der());
+
+  RevocationPolicy keep_reason;
+  keep_reason.ocsp_drops_reason = false;
+  authority.revoke(compromised.serial(), kNow - Duration::days(3),
+                   crl::ReasonCode::kKeyCompromise, keep_reason);
+  authority.revoke(superseded.serial(), kNow - Duration::days(2),
+                   crl::ReasonCode::kSuperseded, RevocationPolicy{});
+  authority.revoke(no_reason.serial(), kNow - Duration::days(1), std::nullopt,
+                   RevocationPolicy{});
+  add(authority.publish_crl(kNow, Duration::days(7)).encode_der());
+
+  const Bytes nonce = util::from_hex("0f1e2d3c4b5a69788796a5b4c3d2e1f0");
+  const ocsp::OcspRequest plain_request =
+      ocsp::OcspRequest::single(id_for(plain));
+  add(plain_request.encode_der());
+  ocsp::OcspRequest nonced_request = ocsp::OcspRequest::single(id_for(staple));
+  nonced_request.set_nonce(nonce);
+  add(nonced_request.encode_der());
+
+  ocsp::CertId wrong_issuer = id_for(plain);
+  wrong_issuer.issuer_name_hash.assign(20, 0x5a);
+  const ocsp::CertId intermediate_id = ocsp::CertId::for_certificate(
+      authority.intermediate_cert(), authority.root_cert());
+
+  OcspResponder standard(authority, ResponderBehavior{}, "ocsp.gold.example",
+                         rng);
+  add(standard.build_response_der(id_for(staple), kNow));
+  const Bytes revoked =
+      add(standard.build_response_der(id_for(compromised), kNow));
+  add(standard.build_response_der(id_for(superseded), kNow));
+  const Bytes unknown = add(standard.build_response_der(wrong_issuer, kNow));
+  const Bytes root_issued =
+      add(standard.build_response_der(intermediate_id, kNow));
+
+  const auto respond = [&](ResponderBehavior behavior, const char* host,
+                           const std::optional<Bytes>& request_nonce) {
+    OcspResponder responder(authority, std::move(behavior), host, rng);
+    return add(responder.build_response_der(id_for(plain), kNow, request_nonce));
+  };
+  ResponderBehavior blank;
+  blank.validity.reset();
+  const Bytes no_next_update =
+      respond(blank, "ocsp.gold-blank.example", std::nullopt);
+  ResponderBehavior extra_serials;
+  extra_serials.extra_serials = 3;
+  const Bytes many_serials =
+      respond(extra_serials, "ocsp.gold-serials.example", std::nullopt);
+  ResponderBehavior extra_certs;
+  extra_certs.extra_certs = 3;
+  const Bytes many_certs =
+      respond(extra_certs, "ocsp.gold-certs.example", std::nullopt);
+  ResponderBehavior delegated;
+  delegated.delegate_signing = true;
+  const Bytes delegate =
+      respond(delegated, "ocsp.gold-delegate.example", std::nullopt);
+  ResponderBehavior on_demand;
+  on_demand.pre_generate = false;
+  on_demand.this_update_margin = Duration::secs(0);
+  const Bytes nonced = respond(on_demand, "ocsp.gold-nonce.example", nonce);
+
+  net::HttpRequest post;
+  post.method = "POST";
+  post.body = plain_request.encode_der();
+  standard.set_try_later(true);
+  const Bytes try_later =
+      add(standard.handle(post, kNow, net::Region::kVirginia).body);
+  standard.set_try_later(false);
+  post.body = util::bytes_of("garbage");
+  const Bytes malformed =
+      add(standard.handle(post, kNow, net::Region::kVirginia).body);
+
+  // The fixture covers the shapes its name claims.
+  const ocsp::OcspResponse revoked_response = parse(revoked);
+  ASSERT_EQ(revoked_response.responses().size(), 1u);
+  ASSERT_TRUE(revoked_response.responses()[0].revoked.has_value());
+  EXPECT_EQ(revoked_response.responses()[0].revoked->reason,
+            crl::ReasonCode::kKeyCompromise);
+  ASSERT_EQ(parse(unknown).responses().size(), 1u);
+  EXPECT_EQ(parse(unknown).responses()[0].status, ocsp::CertStatus::kUnknown);
+  EXPECT_EQ(parse(root_issued).certs().size(), 1u);
+  ASSERT_EQ(parse(no_next_update).responses().size(), 1u);
+  EXPECT_FALSE(parse(no_next_update).responses()[0].next_update.has_value());
+  EXPECT_EQ(parse(many_serials).responses().size(), 4u);
+  EXPECT_EQ(parse(many_certs).certs().size(), 3u);
+  EXPECT_EQ(parse(delegate).certs().size(), 1u);
+  EXPECT_EQ(parse(nonced).nonce(), nonce);
+  EXPECT_EQ(parse(try_later).response_status(), ocsp::ResponseStatus::kTryLater);
+  EXPECT_EQ(parse(malformed).response_status(),
+            ocsp::ResponseStatus::kMalformedRequest);
+
+  EXPECT_EQ(objects, 19u);
+  EXPECT_EQ(all.size(), 6139u);
+  EXPECT_EQ(util::to_hex(crypto::Sha256::hash(all)),
+            "fe6c18ba09723c78fd181eea42cfca7c9df273fe4053d1a525089273237e729a");
 }
 
 // ------------------------------------------------------------ crl server --

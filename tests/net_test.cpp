@@ -398,6 +398,11 @@ TEST(FaultPlan, FirstMatchWins) {
   first.canonical_host = "h.example";
   first.mode = FaultMode::kHttp404;
   plan.add(first);
+  // Another host's rule between two of h.example's (A1, B1, A2).
+  FaultRule other_host;
+  other_host.canonical_host = "b.example";
+  other_host.mode = FaultMode::kHttp503;
+  plan.add(other_host);
   FaultRule second;
   second.canonical_host = "h.example";
   second.mode = FaultMode::kHttp500;
@@ -405,7 +410,31 @@ TEST(FaultPlan, FirstMatchWins) {
   auto mode = plan.check("h.example", Region::kParis, kStart);
   ASSERT_TRUE(mode.has_value());
   EXPECT_EQ(*mode, FaultMode::kHttp404);
+  EXPECT_EQ(plan.check("b.example", Region::kParis, kStart),
+            FaultMode::kHttp503);
   EXPECT_FALSE(plan.check("other.example", Region::kParis, kStart).has_value());
+
+  // A windowed rule added before a persistent one wins only inside its
+  // window; outside it the persistent rule answers.
+  FaultRule outage;
+  outage.canonical_host = "w.example";
+  outage.mode = FaultMode::kTcpConnectFailure;
+  outage.window_start = kStart + Duration::hours(1);
+  outage.window_end = kStart + Duration::hours(2);
+  plan.add(outage);
+  FaultRule dead;
+  dead.canonical_host = "w.example";
+  dead.mode = FaultMode::kDnsNxDomain;
+  plan.add(dead);
+  EXPECT_EQ(plan.check("w.example", Region::kParis, kStart),
+            FaultMode::kDnsNxDomain);
+  EXPECT_EQ(plan.check("w.example", Region::kParis,
+                       kStart + Duration::minutes(90)),
+            FaultMode::kTcpConnectFailure);
+  EXPECT_EQ(plan.check("w.example", Region::kParis,
+                       kStart + Duration::hours(2)),
+            FaultMode::kDnsNxDomain);
+  EXPECT_EQ(plan.size(), 5u);
 }
 
 // --------------------------------------------------------------- network --

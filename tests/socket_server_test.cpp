@@ -25,6 +25,7 @@
 #include "obs/flight.hpp"
 #include "ocsp/request.hpp"
 #include "ocsp/response.hpp"
+#include "ocsp/verify.hpp"
 #include "util/base64.hpp"
 #include "util/strings.hpp"
 #include "webserver/webserver.hpp"
@@ -241,6 +242,65 @@ TEST(SocketServer, OcspPostRoundTrips) {
       ocsp::OcspResponse::parse(util::Bytes(body.begin(), body.end()));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().successful());
+  server.stop();
+}
+
+TEST(SocketServer, OnDemandResponderAnswersConcurrentNoncedPosts) {
+  // The cache-busting path: an on-demand responder signs outside its lock,
+  // on two workers at once. Every response must verify and echo the nonce
+  // of the request it answers. Run under TSan for the data-race half.
+  Pki pki;
+  ca::ResponderBehavior behavior;
+  behavior.pre_generate = false;
+  ca::OcspResponder responder{pki.authority, behavior, "ocsp.sign.example",
+                              pki.rng};
+  SocketServer::Options options;
+  options.worker_threads = 2;
+  SocketServer server(options);
+  server.add_listener("ocsp", 0,
+                      responder.wire_handler([] { return kNow; }));
+  ASSERT_TRUE(server.start().ok());
+  const std::uint16_t port = server.port(std::size_t{0});
+
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 12;
+  std::vector<std::vector<std::string>> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        ocsp::OcspRequest request = ocsp::OcspRequest::single(pki.cert_id());
+        const util::Bytes nonce(16, static_cast<std::uint8_t>(
+                                        c * kRequestsPerClient + r));
+        request.set_nonce(nonce);
+        const util::Bytes der = request.encode_der();
+        std::string wire =
+            "POST / HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Type: application/ocsp-request\r\n"
+            "Content-Length: " + std::to_string(der.size()) +
+            "\r\nConnection: close\r\n\r\n";
+        wire.append(der.begin(), der.end());
+        const std::string body = body_of(fetch_raw(port, wire));
+        const auto verdict = ocsp::verify_ocsp_response_static(
+            util::Bytes(body.begin(), body.end()), pki.cert_id(),
+            pki.authority.intermediate_cert().public_key(), nonce);
+        if (verdict.outcome != ocsp::CheckOutcome::kOk) {
+          failures[static_cast<std::size_t>(c)].push_back(
+              "request " + std::to_string(r) + ": " +
+              ocsp::to_string(verdict.outcome));
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(failures[static_cast<std::size_t>(c)].empty())
+        << "client " << c << ": "
+        << failures[static_cast<std::size_t>(c)].front();
+  }
+  EXPECT_EQ(server.stats().requests,
+            static_cast<std::uint64_t>(kClients * kRequestsPerClient));
+  EXPECT_EQ(responder.cache_entries(), 0u);
   server.stop();
 }
 

@@ -264,6 +264,16 @@ TEST(SimTime, GeneralizedTimeRoundTrip) {
   EXPECT_EQ(from_generalized_time("20180425193045Z"), t);
 }
 
+TEST(SimTime, GeneralizedTimeNeedsAFourDigitYear) {
+  EXPECT_EQ(to_generalized_time(make_time(0, 1, 1)), "00000101000000Z");
+  EXPECT_EQ(to_generalized_time(make_time(9999, 12, 31, 23, 59, 59)),
+            "99991231235959Z");
+  EXPECT_THROW(to_generalized_time(make_time(10000, 1, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(to_generalized_time(make_time(-1, 12, 31)),
+               std::invalid_argument);
+}
+
 TEST(SimTime, GeneralizedTimeRejectsMalformed) {
   EXPECT_THROW(from_generalized_time("2018"), std::invalid_argument);
   EXPECT_THROW(from_generalized_time("20180425193045"), std::invalid_argument);
