@@ -191,8 +191,9 @@ void LintReport::add(const std::vector<Finding>& findings) {
   for (const Finding& finding : findings) {
     ++by_severity_[static_cast<std::size_t>(finding.severity)];
     ++by_rule_[finding.rule_id];
-    MUSTAPLE_COUNT_L("mustaple_lint_findings_total", "severity",
-                     to_string(finding.severity));
+    MUSTAPLE_COUNT_ENUM("mustaple_lint_findings_total", "severity",
+                        finding.severity, kSeverityCount,
+                        to_string(finding.severity));
     if (findings_.size() < finding_capacity_) {
       findings_.push_back(finding);
     } else {

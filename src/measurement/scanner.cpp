@@ -22,6 +22,29 @@ constexpr std::size_t kCacheShards = 16;
 std::uint64_t body_cache_key(std::size_t responder, const util::Bytes& body) {
   return util::hash_combine(util::mix64(responder), util::fnv1a64(body));
 }
+
+// The `cause` label of mustaple_scan_validation_failures_total; nullptr for
+// outcomes that are not counted as failures.
+const char* validation_failure_cause(ocsp::CheckOutcome outcome) {
+  switch (outcome) {
+    case ocsp::CheckOutcome::kUnparseable:
+      return "unparseable";
+    case ocsp::CheckOutcome::kNotSuccessful:
+      return "not-successful";
+    case ocsp::CheckOutcome::kSerialMismatch:
+      return "serial-mismatch";
+    case ocsp::CheckOutcome::kBadSignature:
+      return "bad-signature";
+    case ocsp::CheckOutcome::kNotYetValid:
+      return "not-yet-valid";
+    case ocsp::CheckOutcome::kExpired:
+      return "expired";
+    case ocsp::CheckOutcome::kOk:
+    case ocsp::CheckOutcome::kNonceMismatch:
+      break;
+  }
+  return nullptr;
+}
 }  // namespace
 
 HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
@@ -155,8 +178,8 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   ++totals.requests[region_idx];
   ++step_requests_[cell];
   MUSTAPLE_COUNT("mustaple_scan_probes_total");
-  MUSTAPLE_COUNT_L("mustaple_scan_requests_total", "region",
-                   net::to_string(region));
+  MUSTAPLE_COUNT_ENUM("mustaple_scan_requests_total", "region", region,
+                      net::kRegionCount, net::to_string(region));
   // One probe = one trace unit: the step's trace id plus the probe's
   // campaign-wide ordinal. The ordinal is maintained unconditionally (not
   // inside the trace macro) because it also keys the counter-based latency
@@ -195,8 +218,8 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   ++totals.successes[region_idx];
   ++step_successes_[cell];
   ++totals.responses_200;
-  MUSTAPLE_COUNT_L("mustaple_scan_successes_total", "region",
-                   net::to_string(region));
+  MUSTAPLE_COUNT_ENUM("mustaple_scan_successes_total", "region", region,
+                      net::kRegionCount, net::to_string(region));
 
   // Lint findings replay here, in canonical probe order, so the report (and
   // its obs counters) is byte-identical at every thread count.
@@ -207,38 +230,29 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   const util::SimTime now = ecosystem_->network().now();
   const ocsp::VerifiedResponse& verdict = outcome.verdict;
 
+  if ([[maybe_unused]] const char* cause =
+          validation_failure_cause(verdict.outcome)) {
+    MUSTAPLE_COUNT_ENUM("mustaple_scan_validation_failures_total", "cause",
+                        verdict.outcome, ocsp::kCheckOutcomeCount, cause);
+  }
   switch (verdict.outcome) {
     case ocsp::CheckOutcome::kUnparseable:
       ++totals.unparseable;
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "unparseable");
       return;
     case ocsp::CheckOutcome::kNotSuccessful:
       // tryLater etc.: parsed but unusable; the paper folds these into the
       // malformed/unusable bucket only when unparseable, so just return.
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "not-successful");
       return;
     case ocsp::CheckOutcome::kSerialMismatch:
       ++totals.serial_mismatch;
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "serial-mismatch");
       return;
     case ocsp::CheckOutcome::kBadSignature:
       ++totals.bad_signature;
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "bad-signature");
       return;
     case ocsp::CheckOutcome::kNonceMismatch:
       return;  // scanner sends no nonce; unreachable, but classified
     case ocsp::CheckOutcome::kNotYetValid:
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "not-yet-valid");
-      break;
     case ocsp::CheckOutcome::kExpired:
-      MUSTAPLE_COUNT_L("mustaple_scan_validation_failures_total", "cause",
-                       "expired");
-      break;
     case ocsp::CheckOutcome::kOk:
       break;  // structurally fine: continue into quality accounting
   }
@@ -349,12 +363,18 @@ void HourlyScanner::run() {
     {
       OBS_PROF_SCOPE("scan.fanout");
       const auto prof_parent = OBS_PROF_CURRENT();
-      pool.parallel_for_index(outcomes.size(), [&](std::size_t p) {
-        OBS_PROF_TASK_SCOPE(prof_parent, "scan.execute_probe");
-        const net::Region region = regions[p / targets_.size()];
-        const Target& target = targets_[p % targets_.size()];
-        outcomes[p] = execute_probe(target, region, step_base + p + 1);
-      });
+      pool.parallel_for_chunks(
+          outcomes.size(), [&](std::size_t begin, std::size_t end) {
+            // One scope per pool chunk, charged with its probe count: the
+            // profile counts probes, the clocks are read once per chunk.
+            OBS_PROF_TASK_SCOPE(prof_parent, "scan.execute_probe",
+                                end - begin);
+            for (std::size_t p = begin; p < end; ++p) {
+              const net::Region region = regions[p / targets_.size()];
+              const Target& target = targets_[p % targets_.size()];
+              outcomes[p] = execute_probe(target, region, step_base + p + 1);
+            }
+          });
     }
     {
       OBS_PROF_SCOPE("scan.accumulate");

@@ -123,18 +123,16 @@ FetchResult Network::http_request_probe(Region from, const Url& url,
 void Network::record_fetch(Region from, const Url& url,
                            const FetchResult& result) {
 #if MUSTAPLE_OBS_ENABLED
-  obs::Registry& registry = obs::default_registry();
-  registry.counter("mustaple_net_fetch_total").inc();
-  registry.counter("mustaple_net_fetch_by_region_total",
-                   {{"region", to_string(from)}})
-      .inc();
-  registry.histogram("mustaple_net_fetch_latency_ms")
-      .observe(result.latency_ms);
+  MUSTAPLE_COUNT("mustaple_net_fetch_total");
+  MUSTAPLE_COUNT_ENUM("mustaple_net_fetch_by_region_total", "region", from,
+                      kRegionCount, to_string(from));
+  MUSTAPLE_OBSERVE("mustaple_net_fetch_latency_ms", result.latency_ms);
   const char* kind =
       error_kind_label(result.error, result.response.status_code);
   if (kind) {
-    registry.counter("mustaple_net_fetch_errors_total", {{"kind", kind}})
-        .inc();
+    // One kind per transport error; kNone has one only as "http".
+    MUSTAPLE_COUNT_ENUM("mustaple_net_fetch_errors_total", "kind",
+                        result.error, kTransportErrorCount, kind);
     MUSTAPLE_LOG_DEBUG("net", "fetch failed", obs::field("host", url.host),
                        obs::field("kind", kind),
                        obs::field("region", to_string(from)),

@@ -32,6 +32,8 @@ enum class TransportError : std::uint8_t {
   kTlsCertInvalid,
 };
 
+constexpr std::size_t kTransportErrorCount = 4;
+
 const char* to_string(TransportError error);
 
 /// Inverse of to_string; nullopt for unknown text.

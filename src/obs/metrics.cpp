@@ -317,13 +317,6 @@ std::string Registry::render_json() const {
   return out.str();
 }
 
-void Registry::reset() {
-  util::MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 Registry& default_registry() {
   static Registry registry;
   return registry;

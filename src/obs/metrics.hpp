@@ -4,15 +4,22 @@
 // sets are canonicalized (sorted by key) so the same metric is always the
 // same cell.
 //
+// Cells live as long as their registry: nothing erases one, so a reference
+// bound once stays valid. The MUSTAPLE_* macros (obs/obs.hpp) rely on that:
+// each call site looks its cell up on its first execution and keeps the
+// reference, and a labelled site whose label takes a closed set of values
+// (LabelledCounterSite) binds each value's cell on that value's first
+// increment. Hot paths therefore pay the increment, not the lookup.
+//
 // Thread safety: Counter::inc is lock-free (relaxed atomic); Gauge writes
 // and Histogram::observe take a per-cell mutex; cell lookup and the
-// visit/render/reset paths take a registry-wide mutex. Returned cell
-// references stay valid and usable concurrently (map nodes are stable).
-// Aggregate reads (visit_*, render_*, Histogram accessors returning
-// references) assume writers have quiesced — the scanner only reads at
-// step barriers.
+// visit/render paths take a registry-wide mutex. Returned cell references
+// stay valid and usable concurrently (map nodes are stable). Aggregate
+// reads (visit_*, render_*, Histogram accessors returning references)
+// assume writers have quiesced — the scanner only reads at step barriers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -152,7 +159,8 @@ class Histogram {
 const std::vector<double>& latency_ms_buckets();
 
 /// Owns all metric cells. Lookup creates on first use; returned references
-/// stay valid for the registry's lifetime (map nodes are stable).
+/// stay valid for the registry's lifetime (map nodes are stable and no cell
+/// is ever erased).
 class Registry {
  public:
   Counter& counter(const std::string& name, const Labels& labels = {});
@@ -189,8 +197,6 @@ class Registry {
   /// Single-line JSON object with "counters"/"gauges"/"histograms" sections.
   std::string render_json() const;
 
-  void reset();
-
  private:
   // name -> canonical label string ("" or `{k="v",...}`) -> cell.
   template <typename T>
@@ -204,6 +210,33 @@ class Registry {
 
 /// The process-wide registry all MUSTAPLE_* macros write to.
 Registry& default_registry();
+
+/// One labelled counter call site whose label takes at most `N` values,
+/// addressed by a dense index (an enum's value): each value's cell in the
+/// default registry is looked up on that value's first increment and kept,
+/// so only values a site incremented are ever exported. Zero-initialized
+/// and constant-initialized, so a function-local instance costs no guard;
+/// concurrent first increments of one value look up the same cell and
+/// store the same pointer. Behind MUSTAPLE_COUNT_ENUM.
+template <std::size_t N>
+class LabelledCounterSite {
+ public:
+  /// `label()` yields the label value for `index`; called on a miss only.
+  template <typename LabelFn>
+  Counter& at(std::size_t index, const char* name, const char* key,
+              LabelFn&& label) {
+    std::atomic<Counter*>& slot = cells_.at(index);
+    Counter* cell = slot.load(std::memory_order_acquire);
+    if (cell == nullptr) {
+      cell = &default_registry().counter(name, {{key, label()}});
+      slot.store(cell, std::memory_order_release);
+    }
+    return *cell;
+  }
+
+ private:
+  std::array<std::atomic<Counter*>, N> cells_{};
+};
 
 /// `{k="v",k2="v2"}` with keys sorted; "" for no labels.
 std::string canonical_labels(const Labels& labels);

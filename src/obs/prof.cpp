@@ -55,6 +55,7 @@ struct Profiler::ThreadState {
   static constexpr std::size_t kRing = 1024;
   struct Rec {
     PathId path = kRoot;
+    std::uint64_t count = 0;
     std::uint64_t wall_ns = 0;
     std::uint64_t cpu_ns = 0;
   };
@@ -128,7 +129,7 @@ void Profiler::fold_ring(ThreadState& state) MUSTAPLE_REQUIRES(state.mu) {
   for (std::size_t i = 0; i < state.ring_n; ++i) {
     const ThreadState::Rec& rec = state.ring[i];
     PhaseStats& stats = state.table[rec.path];
-    ++stats.count;
+    stats.count += rec.count;
     stats.wall_ns += rec.wall_ns;
     stats.cpu_ns += rec.cpu_ns;
   }
@@ -136,12 +137,12 @@ void Profiler::fold_ring(ThreadState& state) MUSTAPLE_REQUIRES(state.mu) {
 }
 
 void Profiler::record(PathId path, std::uint64_t wall_ns,
-                      std::uint64_t cpu_ns) {
+                      std::uint64_t cpu_ns, std::uint64_t count) {
   if (path == kRoot) return;
   ThreadState& state = tls_state();
   util::MutexLock lock(state.mu);
   if (state.ring_n == ThreadState::kRing) fold_ring(state);
-  state.ring[state.ring_n++] = ThreadState::Rec{path, wall_ns, cpu_ns};
+  state.ring[state.ring_n++] = ThreadState::Rec{path, count, wall_ns, cpu_ns};
 }
 
 std::map<Profiler::PathId, Profiler::PhaseStats> Profiler::merged_locked()
@@ -293,8 +294,8 @@ ProfScope::ProfScope(const char* name, Profiler& profiler)
     : ProfScope(name, profiler.current_path(), profiler) {}
 
 ProfScope::ProfScope(const char* name, Profiler::PathId parent,
-                     Profiler& profiler)
-    : profiler_(&profiler) {
+                     Profiler& profiler, std::uint64_t count)
+    : profiler_(&profiler), count_(count) {
   Profiler::ThreadState& state = profiler.tls_state();
   const auto key = std::make_pair(parent, static_cast<const void*>(name));
   const auto it = state.intern_cache.find(key);
@@ -316,7 +317,8 @@ ProfScope::~ProfScope() {
   if (!state.stack.empty()) state.stack.pop_back();
   profiler_->record(path_,
                     wall_end > wall_start_ns_ ? wall_end - wall_start_ns_ : 0,
-                    cpu_end > cpu_start_ns_ ? cpu_end - cpu_start_ns_ : 0);
+                    cpu_end > cpu_start_ns_ ? cpu_end - cpu_start_ns_ : 0,
+                    count_);
 }
 
 }  // namespace mustaple::obs

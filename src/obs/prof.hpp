@@ -14,11 +14,11 @@
 // the hot path touches only its own state under its own uncontended mutex.
 // Merging walks every thread's table and sums by path — path set and counts
 // are therefore THREAD-COUNT-INVARIANT for the scanner's two-phase fan-out
-// (each probe closes exactly one scope no matter which worker ran it),
-// which the prof_test asserts at 1/2/4 threads. Worker tasks attach to the
-// coordinator's phase via an explicit parent token (OBS_PROF_CURRENT +
-// OBS_PROF_TASK_SCOPE) so a probe's path is identical whether it ran inline
-// or on a pool worker.
+// (each pool chunk closes exactly one scope, charged with its probe count,
+// no matter which worker ran it), which the prof_test asserts at 1/2/4
+// threads. Worker tasks attach to the coordinator's phase via an explicit
+// parent token (OBS_PROF_CURRENT + OBS_PROF_TASK_SCOPE) so a probe's path
+// is identical whether it ran inline or on a pool worker.
 //
 // Times (wall/cpu totals) are real measurements and naturally vary run to
 // run; nothing here feeds campaign outputs, so enabling profiling keeps
@@ -58,9 +58,11 @@ class Profiler {
   /// The calling thread's innermost open phase (kRoot when none).
   PathId current_path();
 
-  /// Charges one closed scope to `path`. Hot path: a ring append under the
-  /// calling thread's own (uncontended) state mutex.
-  void record(PathId path, std::uint64_t wall_ns, std::uint64_t cpu_ns);
+  /// Charges a closed scope that covered `count` units of work (its
+  /// profile count) to `path`. Hot path: a ring append under the calling
+  /// thread's own (uncontended) state mutex.
+  void record(PathId path, std::uint64_t wall_ns, std::uint64_t cpu_ns,
+              std::uint64_t count = 1);
 
   struct PhaseStats {
     std::uint64_t count = 0;
@@ -129,14 +131,16 @@ class Profiler {
 /// The process-wide profiler all OBS_PROF_* macros charge.
 Profiler& default_profiler();
 
-/// RAII phase scope. The two-argument form opens the phase under an
-/// explicit parent path instead of the thread's current stack — how pool
-/// workers attach their work to the coordinating thread's open phase.
+/// RAII phase scope. The parent form opens the phase under an explicit
+/// parent path instead of the thread's current stack — how pool workers
+/// attach their work to the coordinating thread's open phase — and charges
+/// `count` to the phase's count, so a scope around a chunk of n probes
+/// counts n.
 class ProfScope {
  public:
   explicit ProfScope(const char* name, Profiler& profiler = default_profiler());
   ProfScope(const char* name, Profiler::PathId parent,
-            Profiler& profiler = default_profiler());
+            Profiler& profiler = default_profiler(), std::uint64_t count = 1);
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
   ~ProfScope();
@@ -144,6 +148,7 @@ class ProfScope {
  private:
   Profiler* profiler_;
   Profiler::PathId path_;
+  std::uint64_t count_;
   std::uint64_t wall_start_ns_;
   std::uint64_t cpu_start_ns_;
 };
@@ -165,15 +170,18 @@ class ProfScope {
 #define OBS_PROF_CURRENT() ::mustaple::obs::default_profiler().current_path()
 
 /// Worker-side scope attached under an explicit parent token (captured on
-/// the coordinating thread with OBS_PROF_CURRENT before the fan-out).
-#define OBS_PROF_TASK_SCOPE(token_, name_)                              \
+/// the coordinating thread with OBS_PROF_CURRENT before the fan-out),
+/// counting `count_` units of work: a pool chunk's index count.
+#define OBS_PROF_TASK_SCOPE(token_, name_, count_)                      \
   ::mustaple::obs::ProfScope MUSTAPLE_PROF_CONCAT(mustaple_prof_scope_, \
-                                                  __COUNTER__)(name_, token_)
+                                                  __COUNTER__)(         \
+      name_, token_, ::mustaple::obs::default_profiler(), count_)
 
 #else  // MUSTAPLE_OBS_OFF: annotation sites vanish.
 
 #define OBS_PROF_SCOPE(name_) ((void)0)
 #define OBS_PROF_CURRENT() (::mustaple::obs::Profiler::kRoot)
-#define OBS_PROF_TASK_SCOPE(token_, name_) ((void)(token_))
+#define OBS_PROF_TASK_SCOPE(token_, name_, count_) \
+  ((void)(token_), (void)(count_))
 
 #endif  // MUSTAPLE_OBS_ENABLED

@@ -41,6 +41,8 @@ enum class CheckOutcome : std::uint8_t {
   kNonceMismatch,
 };
 
+constexpr std::size_t kCheckOutcomeCount = 8;
+
 const char* to_string(CheckOutcome outcome);
 
 /// Everything the analysis layer wants to know about one validated response.

@@ -5,12 +5,6 @@
 
 namespace mustaple::util {
 
-namespace {
-// Chunked index claiming: large enough to amortize the atomic, small enough
-// to balance uneven per-index cost (e.g. cache-miss probes that re-verify).
-constexpr std::size_t kChunk = 16;
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads < 1) threads = 1;
   workers_.reserve(threads - 1);
@@ -29,7 +23,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_chunks() {
-  const std::function<void(std::size_t)>* job;
+  const std::function<void(std::size_t, std::size_t)>* job;
   std::size_t count;
   {
     MutexLock lock(mutex_);
@@ -41,7 +35,7 @@ void ThreadPool::run_chunks() {
     if (begin >= count) return;
     const std::size_t end = begin + kChunk < count ? begin + kChunk : count;
     try {
-      for (std::size_t i = begin; i < end; ++i) (*job)(i);
+      (*job)(begin, end);
     } catch (...) {
       MutexLock lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
@@ -71,13 +65,10 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for_index(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
+void ThreadPool::parallel_for_chunks(
+    std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
   {
     MutexLock lock(mutex_);
     job_ = &fn;
@@ -97,6 +88,13 @@ void ThreadPool::parallel_for_index(
     error = first_error_;
   }
   if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::parallel_for_index(
+    std::size_t count, const std::function<void(std::size_t)>& fn) {
+  parallel_for_chunks(count, [&fn](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+  });
 }
 
 std::size_t ThreadPool::env_threads(std::size_t fallback) {

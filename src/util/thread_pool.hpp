@@ -8,8 +8,9 @@
 // atomic cursor), which means WHICH thread runs a given index is
 // nondeterministic — callers that need deterministic output must make the
 // per-index work free of order-dependent side effects and do any
-// order-sensitive accumulation after parallel_for_index returns (see
-// DESIGN.md "Deterministic parallel scan campaigns").
+// order-sensitive accumulation after the fan-out returns (see DESIGN.md
+// "Deterministic parallel scan campaigns"). The chunk boundaries are fixed
+// by the index count alone, at every pool width.
 #pragma once
 
 #include <atomic>
@@ -26,9 +27,14 @@ namespace mustaple::util {
 
 class ThreadPool {
  public:
+  /// Indices per chunk: large enough to amortize the atomic cursor (and a
+  /// caller's per-chunk bookkeeping), small enough to balance uneven
+  /// per-index cost (e.g. cache-miss probes that re-verify).
+  static constexpr std::size_t kChunk = 16;
+
   /// Spawns `threads - 1` workers; the caller's thread participates in
   /// every job, so `threads` is total parallelism. threads <= 1 spawns
-  /// nothing and parallel_for_index degrades to a plain loop.
+  /// nothing and the calling thread runs every chunk in order.
   explicit ThreadPool(std::size_t threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -36,10 +42,17 @@ class ThreadPool {
 
   std::size_t threads() const { return workers_.size() + 1; }
 
-  /// Runs fn(i) for every i in [0, count) and returns when all calls have
-  /// completed (a barrier). The first exception thrown by fn is rethrown on
-  /// the calling thread after the barrier; remaining indices of the chunk
-  /// that threw are skipped, other chunks still run.
+  /// Runs fn(begin, end) once per chunk of [0, count) — [0, kChunk),
+  /// [kChunk, 2 * kChunk), ..., the last one possibly shorter — and returns
+  /// when all calls have completed (a barrier). The first exception thrown
+  /// by fn is rethrown on the calling thread after the barrier; it ends only
+  /// the chunk that threw, other chunks still run.
+  void parallel_for_chunks(
+      std::size_t count,
+      const std::function<void(std::size_t begin, std::size_t end)>& fn);
+
+  /// fn(i) for every i in [0, count), chunk by chunk: a throw skips the
+  /// remaining indices of its own chunk and is rethrown after the barrier.
   void parallel_for_index(std::size_t count,
                           const std::function<void(std::size_t)>& fn);
 
@@ -56,8 +69,8 @@ class ThreadPool {
   Mutex mutex_;
   CondVar start_cv_;
   CondVar done_cv_;
-  const std::function<void(std::size_t)>* job_ MUSTAPLE_GUARDED_BY(mutex_) =
-      nullptr;
+  const std::function<void(std::size_t, std::size_t)>* job_
+      MUSTAPLE_GUARDED_BY(mutex_) = nullptr;
   std::size_t job_count_ MUSTAPLE_GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ MUSTAPLE_GUARDED_BY(mutex_) = 0;
   std::size_t workers_running_ MUSTAPLE_GUARDED_BY(mutex_) = 0;

@@ -12,7 +12,9 @@
 #include "measurement/consistency.hpp"
 #include "measurement/ecosystem.hpp"
 #include "measurement/scanner.hpp"
+#include "obs/prof.hpp"
 #include "obs/timeline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mustaple::measurement {
 namespace {
@@ -493,6 +495,33 @@ TEST(ScannerThreading, OneTwoFourThreadsBitIdentical) {
     EXPECT_EQ(run->validation_totals.lookups, one.validation_totals.lookups);
     EXPECT_EQ(run->lint_totals.lookups, one.lint_totals.lookups);
   }
+}
+
+// The fan-out charges one profile scope per pool chunk with the chunk's
+// probe count, so the phase still counts probes, at every thread count.
+TEST(ScannerThreading, ProbeProfileCountEqualsProbesDone) {
+#if MUSTAPLE_OBS_ENABLED
+  for (std::size_t threads : {1, 2, 4}) {
+    EcosystemConfig config = small_config();
+    net::EventLoop loop(config.campaign_start - Duration::days(1));
+    Ecosystem ecosystem(config, loop);
+    ScanConfig scan;
+    scan.interval = Duration::hours(12);
+    scan.max_steps = 3;
+    scan.threads = threads;
+    HourlyScanner scanner(ecosystem, scan);
+    obs::default_profiler().reset();
+    scanner.run();
+    std::uint64_t charged = 0;
+    for (const obs::Profiler::Entry& entry :
+         obs::default_profiler().snapshot()) {
+      if (entry.name == "scan.execute_probe") charged += entry.stats.count;
+    }
+    const std::uint64_t probes = scanner.progress().probes_done;
+    EXPECT_GT(probes, 3 * util::ThreadPool::kChunk);
+    EXPECT_EQ(charged, probes) << threads << " threads";
+  }
+#endif
 }
 
 TEST(ScannerThreading, ExplicitThreadCountBeatsEnvironment) {

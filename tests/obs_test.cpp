@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -324,14 +325,6 @@ TEST(Metrics, JsonGolden) {
             "\"min\":4,\"max\":4,\"p50\":4,\"p95\":4,\"p99\":4,"
             "\"buckets\":[{\"le\":10,\"count\":1},"
             "{\"le\":\"+Inf\",\"count\":1}]}}}");
-}
-
-TEST(Metrics, ResetClearsEverything) {
-  Registry registry;
-  registry.counter("x_total").inc();
-  registry.reset();
-  EXPECT_EQ(registry.counter_value("x_total"), 0u);
-  EXPECT_EQ(registry.render_prometheus(), "");
 }
 
 TEST(Metrics, PrometheusEscapesLabelValues) {
@@ -667,6 +660,15 @@ TEST(Macros, WriteToDefaults) {
 
   MUSTAPLE_GAUGE_MAX("mustaple_obs_test_macro_gauge", 11);
   EXPECT_GE(registry.gauge_value("mustaple_obs_test_macro_gauge"), 11.0);
+  MUSTAPLE_GAUGE_SET("mustaple_obs_test_macro_set_gauge", -4);
+  EXPECT_EQ(registry.gauge_value("mustaple_obs_test_macro_set_gauge"), -4.0);
+
+  const Histogram* hist = registry.find_histogram("mustaple_obs_test_macro_ms");
+  const std::size_t observed = hist == nullptr ? 0 : hist->count();
+  MUSTAPLE_OBSERVE("mustaple_obs_test_macro_ms", 3);
+  hist = registry.find_histogram("mustaple_obs_test_macro_ms");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), observed + 1);
 
   auto ring = std::make_shared<RingBufferSink>();
   default_logger().add_sink(ring);
@@ -677,7 +679,100 @@ TEST(Macros, WriteToDefaults) {
 #endif
 }
 
+#if MUSTAPLE_OBS_ENABLED
+enum class Color : std::uint8_t { kRed, kGreen, kBlue, kAmber };
+constexpr std::size_t kColorCount = 4;
+
+const char* color_name(Color color) {
+  static constexpr const char* kNames[] = {"red", "green", "blue", "amber"};
+  return kNames[static_cast<std::size_t>(color)];
+}
+
+// One bound labelled site, shared by every caller.
+void count_color(Color color) {
+  MUSTAPLE_COUNT_ENUM("mustaple_obs_test_color_total", "color", color,
+                      kColorCount, color_name(color));
+}
+
+// The sites the concurrency test races on.
+void race_plain() { MUSTAPLE_COUNT("mustaple_obs_test_race_total"); }
+void race_color(Color color) {
+  MUSTAPLE_COUNT_ENUM("mustaple_obs_test_race_color_total", "color", color,
+                      kColorCount, color_name(color));
+}
+
+std::uint64_t colored(const char* name,
+                      const char* metric = "mustaple_obs_test_color_total") {
+  return default_registry().counter_value(metric, {{"color", name}});
+}
+#endif
+
+TEST(Macros, BoundLabelledSiteExportsOnlyIncrementedValues) {
+#if MUSTAPLE_OBS_ENABLED
+  const std::uint64_t red = colored("red");
+  const std::uint64_t blue = colored("blue");
+  count_color(Color::kRed);
+  count_color(Color::kBlue);
+  count_color(Color::kRed);
+  EXPECT_EQ(colored("red"), red + 2);
+  EXPECT_EQ(colored("blue"), blue + 1);
+
+  // Green and amber were never incremented, so no cell (not even a zero
+  // series) exists for them in either exporter.
+  const std::string prom = default_registry().render_prometheus();
+  EXPECT_NE(prom.find("mustaple_obs_test_color_total{color=\"red\"} " +
+                      std::to_string(red + 2) + "\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("mustaple_obs_test_color_total{color=\"blue\"} "),
+            std::string::npos);
+  EXPECT_EQ(prom.find("color=\"green\""), std::string::npos);
+  EXPECT_EQ(prom.find("color=\"amber\""), std::string::npos);
+  const std::string json = default_registry().render_json();
+  EXPECT_NE(json.find("\"mustaple_obs_test_color_total{color=\\\"red\\\"}\":"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("green"), std::string::npos);
+  EXPECT_EQ(json.find("amber"), std::string::npos);
+#endif
+}
+
 // -------------------------------------------------------- thread safety --
+
+TEST(MetricsConcurrency, BoundSitesKeepExactTotals) {
+#if MUSTAPLE_OBS_ENABLED
+  // Every thread races the first increment of each value through the same
+  // bound sites, then keeps incrementing through the cached cells.
+  constexpr const char* kRaced = "mustaple_obs_test_race_color_total";
+  const std::uint64_t plain =
+      default_registry().counter_value("mustaple_obs_test_race_total");
+  std::uint64_t before[kColorCount];
+  for (std::size_t c = 0; c < kColorCount; ++c) {
+    before[c] = colored(color_name(static_cast<Color>(c)), kRaced);
+  }
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 4'000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        race_plain();
+        race_color(static_cast<Color>(i % kColorCount));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(default_registry().counter_value("mustaple_obs_test_race_total"),
+            plain + static_cast<std::uint64_t>(kThreads) * kPerThread);
+  for (std::size_t c = 0; c < kColorCount; ++c) {
+    EXPECT_EQ(colored(color_name(static_cast<Color>(c)), kRaced),
+              before[c] + kThreads * kPerThread / kColorCount)
+        << color_name(static_cast<Color>(c));
+  }
+#endif
+}
 
 TEST(MetricsConcurrency, CountersGaugesHistogramsSurviveContention) {
   // The parallel scanner's workers hammer one shared registry; every inc()

@@ -118,6 +118,8 @@ TEST(Profiler, RingOverflowFoldsWithoutLosingCounts) {
 // logical workload produces the same path set and per-path counts no
 // matter how many pool workers ran it, because worker scopes attach under
 // an explicit parent token instead of the worker thread's (empty) stack.
+// As in the scanner, one scope covers a pool chunk and counts its indices,
+// so the count is still one per probe.
 TEST(Profiler, MergeIsThreadCountInvariant) {
   auto run = [](std::size_t threads) {
     Profiler profiler;
@@ -127,8 +129,8 @@ TEST(Profiler, MergeIsThreadCountInvariant) {
         ProfScope step_scope("step", profiler);
         const auto parent = profiler.current_path();
         util::ThreadPool pool(threads);
-        pool.parallel_for_index(97, [&](std::size_t) {
-          ProfScope probe("probe", parent, profiler);
+        pool.parallel_for_chunks(97, [&](std::size_t begin, std::size_t end) {
+          ProfScope probe("probe", parent, profiler, end - begin);
         });
       }
     }
@@ -164,6 +166,18 @@ TEST(Profiler, ResetZeroesStatsButKeepsInternedPaths) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].stats.count, 1u);
   EXPECT_EQ(entries[0].stats.wall_ns, 10u);
+}
+
+TEST(Profiler, ScopeAndRecordChargeTheirCount) {
+  Profiler profiler;
+  const auto chunk = profiler.intern(Profiler::kRoot, "chunk");
+  profiler.record(chunk, 10, 5, 16);
+  {
+    ProfScope scope("chunk", Profiler::kRoot, profiler, 7);
+  }
+  const auto entries = profiler.snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].stats.count, 23u);
 }
 
 TEST(Profiler, TopPhasesSortsByWallTime) {

@@ -562,9 +562,63 @@ TEST(ThreadPool, FirstExceptionRethrownAfterBarrier) {
   EXPECT_GT(ran.load(), 0u);
 }
 
+TEST(ThreadPool, ChunksCoverTheRangeOnceAndStayWithinTheChunk) {
+  constexpr std::size_t kCount = 1'000;  // not a multiple of kChunk
+  for (std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kCount);
+    std::atomic<std::size_t> chunks{0};
+    std::atomic<bool> bad_chunk{false};
+    pool.parallel_for_chunks(kCount, [&](std::size_t begin, std::size_t end) {
+      if (begin >= end || end - begin > ThreadPool::kChunk || end > kCount) {
+        bad_chunk.store(true);
+      }
+      chunks.fetch_add(1, std::memory_order_relaxed);
+      for (std::size_t i = begin; i < end; ++i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_FALSE(bad_chunk.load()) << threads << " threads";
+    EXPECT_EQ(chunks.load(),
+              (kCount + ThreadPool::kChunk - 1) / ThreadPool::kChunk);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", " << threads
+                                   << " threads";
+    }
+  }
+}
+
+TEST(ThreadPool, ExceptionSkipsOnlyTheRestOfItsChunk) {
+  constexpr std::size_t kCount = 1'000;
+  constexpr std::size_t kThrowAt = 137;
+  // The chunk holding kThrowAt ends at the next multiple of kChunk.
+  constexpr std::size_t kChunkEnd =
+      (kThrowAt / ThreadPool::kChunk + 1) * ThreadPool::kChunk;
+  for (std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> ran(kCount);
+    EXPECT_THROW(pool.parallel_for_index(kCount,
+                                         [&](std::size_t i) {
+                                           ran[i].store(1);
+                                           if (i == kThrowAt) {
+                                             throw std::runtime_error("boom");
+                                           }
+                                         }),
+                 std::runtime_error);
+    // Rethrown after the barrier: every other chunk has completed by now.
+    for (std::size_t i = 0; i < kCount; ++i) {
+      const bool skipped = i > kThrowAt && i < kChunkEnd;
+      ASSERT_EQ(ran[i].load(), skipped ? 0 : 1)
+          << "index " << i << ", " << threads << " threads";
+    }
+  }
+}
+
 TEST(ThreadPool, ZeroCountIsANoOp) {
   ThreadPool pool(2);
   pool.parallel_for_index(0, [](std::size_t) { FAIL() << "must not run"; });
+  pool.parallel_for_chunks(
+      0, [](std::size_t, std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(ThreadPool, EnvThreadsParsesVariable) {
