@@ -1,32 +1,11 @@
-// Loopback OCSP load generation, shared by the standalone bench/ocsp_load
-// binary and perf_suite's "serving" section: a net::SocketServer serving a
-// pre-generated OcspResponder over real TCP, hammered by client threads
-// speaking pipelined keep-alive HTTP/1.1 with the RFC 6960 GET/POST mix.
-//
-// The clock is a FIXED SimTime: every request lands in the same
-// pre-generation cycle, so after warm-up the responder serves one cached
-// DER per serial and the wire-level ResponseCache serves one cached
-// HttpResponse per distinct request — the configuration whose sustained
-// throughput the serving acceptance target (>=100k req/s loopback) is
-// defined against.
+// Loopback OCSP client helpers for the serving benchmark
+// (mustaple_bench/serve.cpp and replay.cpp): the percent-encoded RFC 6960
+// GET path real clients send, and a TCP_NODELAY connection to a
+// net::SocketServer listening on 127.0.0.1.
 #pragma once
 
-#include <atomic>
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include "common.hpp"
-#include "ca/authority.hpp"
-#include "ca/responder.hpp"
-#include "net/socket_server.hpp"
-#include "ocsp/request.hpp"
-#include "util/base64.hpp"
-#include "util/strings.hpp"
 
 #if defined(__linux__)
 #include <arpa/inet.h>
@@ -37,25 +16,6 @@
 #endif
 
 namespace mustaple::bench {
-
-struct LoadGenConfig {
-  std::size_t certs = 64;          ///< distinct serials in the request corpus
-  std::size_t client_threads = 4;  ///< one pipelined connection per thread
-  std::size_t pipeline_depth = 32; ///< requests per batched write
-  double get_fraction = 0.5;       ///< RFC 6960 A.1 GETs vs POSTs
-  double seconds = 2.0;            ///< measured duration (after warm-up)
-  std::size_t server_workers = 4;
-  bool response_cache = true;      ///< wrap the handler in a ResponseCache
-};
-
-struct LoadGenResult {
-  std::uint64_t requests = 0;  ///< client-side completed responses
-  std::uint64_t errors = 0;    ///< non-200 or unparseable framing
-  double seconds = 0.0;
-  double rps = 0.0;
-  net::SocketServerStats server;
-  util::ShardedCacheStats cache;  ///< zeroed when response_cache is off
-};
 
 namespace loadgen_detail {
 
@@ -79,33 +39,6 @@ inline std::string percent_encode_base64(const std::string& text) {
   return out;
 }
 
-/// Counts complete HTTP/1.1 responses in a client read buffer, consuming
-/// them; flags anything that is not a 200. Returns false on framing garbage.
-inline bool consume_responses(std::string& buffer, std::uint64_t* completed,
-                              std::uint64_t* errors) {
-  for (;;) {
-    const std::size_t head_end = buffer.find("\r\n\r\n");
-    if (head_end == std::string::npos) return true;
-    if (buffer.compare(0, 5, "HTTP/") != 0) return false;
-    std::size_t body_len = 0;
-    const std::size_t cl = util::to_lower(buffer.substr(0, head_end))
-                               .find("content-length:");
-    if (cl != std::string::npos) {
-      std::size_t i = cl + std::strlen("content-length:");
-      while (i < head_end && buffer[i] == ' ') ++i;
-      while (i < head_end && buffer[i] >= '0' && buffer[i] <= '9') {
-        body_len = body_len * 10 + static_cast<std::size_t>(buffer[i] - '0');
-        ++i;
-      }
-    }
-    const std::size_t total = head_end + 4 + body_len;
-    if (buffer.size() < total) return true;  // body still arriving
-    if (buffer.compare(0, 12, "HTTP/1.1 200") != 0) ++*errors;
-    ++*completed;
-    buffer.erase(0, total);
-  }
-}
-
 #if defined(__linux__)
 inline int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -126,203 +59,5 @@ inline int connect_loopback(std::uint16_t port) {
 #endif
 
 }  // namespace loadgen_detail
-
-/// Owns the CA, the pre-generated responder, the socket server, and the
-/// pre-serialized request corpus. Construct once, run() as often as needed.
-class OcspLoadHarness {
- public:
-  explicit OcspLoadHarness(const LoadGenConfig& config)
-      : config_(config), now_(util::make_time(2018, 5, 1, 12)) {
-    util::Rng rng{2018};
-    ca_ = std::make_unique<ca::CertificateAuthority>(
-        "LoadCA", now_ - util::Duration::days(2000), rng);
-    ca::ResponderBehavior behavior;  // defaults: pre-generated, 24h cycle
-    responder_ = std::make_unique<ca::OcspResponder>(
-        *ca_, behavior, "ocsp.load.example", rng);
-
-    // Request corpus: one GET and one POST wire per issued certificate.
-    // GETs percent-encode the base64 path the way real clients do.
-    for (std::size_t i = 0; i < config_.certs; ++i) {
-      ca::LeafRequest leaf_request;
-      leaf_request.domain = "load" + std::to_string(i) + ".example";
-      leaf_request.not_before = now_ - util::Duration::days(30);
-      leaf_request.lifetime = util::Duration::days(365);
-      leaf_request.ocsp_urls = {"http://ocsp.load.example/"};
-      const x509::Certificate leaf = ca_->issue(leaf_request, rng);
-      const auto id =
-          ocsp::CertId::for_certificate(leaf, ca_->intermediate_cert());
-      const auto request = ocsp::OcspRequest::single(id);
-
-      net::HttpRequest get;
-      get.method = "GET";
-      get.path = "/" + loadgen_detail::percent_encode_base64(
-                           util::base64_encode(request.encode_der()));
-      get.headers.set("host", "ocsp.load.example");
-      get_wires_.push_back(get.serialize());
-
-      net::HttpRequest post;
-      post.method = "POST";
-      post.path = "/";
-      post.headers.set("host", "ocsp.load.example");
-      post.headers.set("content-type", "application/ocsp-request");
-      post.body = request.encode_der();
-      post_wires_.push_back(post.serialize());
-    }
-
-    net::SocketServer::Options options;
-    options.worker_threads = config_.server_workers;
-    server_ = std::make_unique<net::SocketServer>(options);
-    const util::SimTime now = now_;
-    net::WireHandler handler =
-        responder_->wire_handler([now] { return now; });
-    if (config_.response_cache) {
-      cache_ = std::make_unique<net::ResponseCache>(16, 4096);
-      handler = cache_->wrap(std::move(handler));
-    }
-    server_->add_listener("ocsp", 0, std::move(handler));
-  }
-
-  util::Status start() { return server_->start(); }
-  void stop() { server_->stop(); }
-  std::uint16_t port() const { return server_->port(std::size_t{0}); }
-  const net::SocketServer& server() const { return *server_; }
-
-  /// Runs the timed load. start() must have succeeded.
-  LoadGenResult run() {
-#if !defined(__linux__)
-    return LoadGenResult{};
-#else
-    LoadGenResult result;
-    const std::uint16_t target_port = port();
-    std::vector<std::uint64_t> completed(config_.client_threads, 0);
-    std::vector<std::uint64_t> errors(config_.client_threads, 0);
-    std::atomic<bool> running{true};
-
-    // Warm-up outside the timer: touch every corpus entry once so the
-    // responder's signing and the wire cache's misses are paid up front.
-    {
-      std::uint64_t warm_done = 0;
-      std::uint64_t warm_errors = 0;
-      const int fd = loadgen_detail::connect_loopback(target_port);
-      if (fd < 0) return result;
-      std::string in;
-      for (std::size_t i = 0; i < get_wires_.size(); ++i) {
-        send_wire(fd, get_wires_[i]);
-        send_wire(fd, post_wires_[i]);
-      }
-      while (warm_done < 2 * get_wires_.size()) {
-        if (!read_some(fd, in)) break;
-        loadgen_detail::consume_responses(in, &warm_done, &warm_errors);
-      }
-      ::close(fd);
-      if (warm_done < 2 * get_wires_.size()) return result;  // server broken
-    }
-
-    Stopwatch watch;
-    std::vector<std::thread> clients;
-    for (std::size_t t = 0; t < config_.client_threads; ++t) {
-      clients.emplace_back([this, t, target_port, &running, &completed,
-                            &errors] {
-        client_loop(t, target_port, running, completed[t], errors[t]);
-      });
-    }
-    while (watch.seconds() < config_.seconds) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    running.store(false, std::memory_order_release);
-    for (auto& thread : clients) thread.join();
-    result.seconds = watch.seconds();
-    for (std::size_t t = 0; t < config_.client_threads; ++t) {
-      result.requests += completed[t];
-      result.errors += errors[t];
-    }
-    result.rps = result.seconds > 0
-                     ? static_cast<double>(result.requests) / result.seconds
-                     : 0.0;
-    result.server = server_->stats();
-    if (cache_) result.cache = cache_->stats();
-    return result;
-#endif
-  }
-
- private:
-#if defined(__linux__)
-  static bool send_wire(int fd, const util::Bytes& wire) {
-    std::size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t sent = ::send(fd, wire.data() + off, wire.size() - off,
-                                  MSG_NOSIGNAL);
-      if (sent > 0) {
-        off += static_cast<std::size_t>(sent);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      return false;
-    }
-    return true;
-  }
-
-  static bool read_some(int fd, std::string& in) {
-    char buf[16384];
-    const ssize_t got = ::read(fd, buf, sizeof(buf));
-    if (got <= 0) return false;
-    in.append(buf, static_cast<std::size_t>(got));
-    return true;
-  }
-
-  void client_loop(std::size_t thread_index, std::uint16_t target_port,
-                   const std::atomic<bool>& running, std::uint64_t& completed,
-                   std::uint64_t& errors) {
-    const int fd = loadgen_detail::connect_loopback(target_port);
-    if (fd < 0) return;
-    // Deterministic per-thread GET/POST interleave matching get_fraction.
-    const std::size_t corpus = get_wires_.size();
-    std::string in;
-    std::uint64_t sent_total = 0;
-    std::uint64_t done = 0;
-    double get_credit = 0.0;
-    while (running.load(std::memory_order_acquire)) {
-      // Batch-write one pipeline window, then drain its responses.
-      for (std::size_t i = 0; i < config_.pipeline_depth; ++i) {
-        const std::size_t pick =
-            (thread_index * 7919 + sent_total) % corpus;
-        get_credit += config_.get_fraction;
-        const bool use_get = get_credit >= 1.0;
-        if (use_get) get_credit -= 1.0;
-        if (!send_wire(fd, use_get ? get_wires_[pick] : post_wires_[pick])) {
-          ::close(fd);
-          return;
-        }
-        ++sent_total;
-      }
-      while (done < sent_total) {
-        if (!read_some(fd, in)) {
-          ::close(fd);
-          return;
-        }
-        if (!loadgen_detail::consume_responses(in, &done, &errors)) {
-          ++errors;
-          ::close(fd);
-          return;
-        }
-      }
-    }
-    completed = done;
-    ::close(fd);
-  }
-#else
-  void client_loop(std::size_t, std::uint16_t, const std::atomic<bool>&,
-                   std::uint64_t&, std::uint64_t&) {}
-#endif
-
-  LoadGenConfig config_;
-  util::SimTime now_;
-  std::unique_ptr<ca::CertificateAuthority> ca_;
-  std::unique_ptr<ca::OcspResponder> responder_;
-  std::unique_ptr<net::ResponseCache> cache_;
-  std::unique_ptr<net::SocketServer> server_;
-  std::vector<util::Bytes> get_wires_;
-  std::vector<util::Bytes> post_wires_;
-};
 
 }  // namespace mustaple::bench

@@ -1,9 +1,8 @@
-// Microbenchmarks for the wire-format substrates: DER encode/decode, X.509
-// build/parse, CRL round trips, HTTP message handling.
+// Microbenchmarks for the wire-format substrates: X.509 build/encode/parse
+// and CRL parse at growing entry counts.
 #include <benchmark/benchmark.h>
 
 #include "crl/crl.hpp"
-#include "net/http.hpp"
 #include "x509/certificate.hpp"
 
 namespace {
@@ -74,19 +73,6 @@ void BM_CrlRoundTrip(benchmark::State& state) {
   state.SetLabel(std::to_string(der.size()) + " bytes");
 }
 BENCHMARK(BM_CrlRoundTrip)->Arg(10)->Arg(1000)->Arg(10000);
-
-void BM_HttpParse(benchmark::State& state) {
-  net::HttpRequest request;
-  request.method = "POST";
-  request.path = "/";
-  request.headers.set("content-type", "application/ocsp-request");
-  request.body.assign(120, 0x30);
-  const util::Bytes wire = request.serialize();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::HttpRequest::parse(wire));
-  }
-}
-BENCHMARK(BM_HttpParse);
 
 }  // namespace
 

@@ -1,25 +1,39 @@
-// Microbenchmarks for the crypto substrate: SHA-256, HMAC, BigInt modexp,
-// RSA sign/verify, and the simulation-grade signer.
+// Microbenchmarks for the crypto substrate: SHA-256 per dispatch tier,
+// HMAC, BigInt multiply and modexp, RSA sign/verify.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "crypto/bigint.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/signer.hpp"
 
 namespace {
 
 using namespace mustaple;
 
+// Arguments: message bytes, then the Sha256Impl to force. Every tier this
+// CPU has runs at every size, so the MB/s column compares the tiers.
 void BM_Sha256(benchmark::State& state) {
+  const auto impl = static_cast<crypto::Sha256Impl>(state.range(1));
+  const crypto::Sha256Impl active = crypto::sha256_active_impl();
+  crypto::sha256_set_impl(impl);
   util::Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::Sha256::hash(data));
   }
+  crypto::sha256_set_impl(active);  // restore the dispatcher's choice
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(crypto::to_string(impl));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const std::int64_t bytes : {64, 1024, 65536}) {
+    for (const crypto::Sha256Impl impl : crypto::sha256_available_impls()) {
+      b->Args({bytes, static_cast<std::int64_t>(impl)});
+    }
+  }
+});
 
 void BM_HmacSha256(benchmark::State& state) {
   const util::Bytes key(32, 0x11);
@@ -75,16 +89,6 @@ void BM_RsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaVerify);
-
-void BM_SimSign(benchmark::State& state) {
-  util::Rng rng(5);
-  const auto kp = crypto::KeyPair::generate_sim(rng);
-  const util::Bytes msg(300, 0x42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kp.sign(msg));
-  }
-}
-BENCHMARK(BM_SimSign);
 
 }  // namespace
 

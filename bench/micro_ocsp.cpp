@@ -1,6 +1,5 @@
-// Microbenchmarks for the OCSP pipeline: request/response codecs, responder
-// throughput (cached and uncached), and full client-side verification — the
-// per-probe costs behind the availability campaigns.
+// Microbenchmarks for the OCSP pipeline: request encoding and full
+// client-side response verification, direct and delegated.
 #include <benchmark/benchmark.h>
 
 #include "ca/authority.hpp"
@@ -43,30 +42,6 @@ void BM_OcspRequestEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_OcspRequestEncode);
 
-void BM_ResponderCachedLookup(benchmark::State& state) {
-  ca::ResponderBehavior behavior;  // pre-generated by default
-  ca::OcspResponder responder(world().authority, behavior, "o.example",
-                              world().rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(responder.build_response_der(world().id,
-                                                          world().now));
-  }
-}
-BENCHMARK(BM_ResponderCachedLookup);
-
-void BM_ResponderOnDemand(benchmark::State& state) {
-  ca::ResponderBehavior behavior;
-  behavior.pre_generate = false;
-  ca::OcspResponder responder(world().authority, behavior, "o2.example",
-                              world().rng);
-  util::SimTime t = world().now;
-  for (auto _ : state) {
-    t = t + util::Duration::secs(1);  // defeat any same-second caching
-    benchmark::DoNotOptimize(responder.build_response_der(world().id, t));
-  }
-}
-BENCHMARK(BM_ResponderOnDemand);
-
 void BM_VerifyResponse(benchmark::State& state) {
   ca::ResponderBehavior behavior;
   behavior.delegate_signing = state.range(0) != 0;
@@ -83,21 +58,6 @@ void BM_VerifyResponse(benchmark::State& state) {
   state.SetLabel(behavior.delegate_signing ? "delegated" : "direct");
 }
 BENCHMARK(BM_VerifyResponse)->Arg(0)->Arg(1);
-
-void BM_VerifyStaticCached(benchmark::State& state) {
-  ca::OcspResponder responder(world().authority, ca::ResponderBehavior{},
-                              "o4.example", world().rng);
-  const util::Bytes body =
-      responder.build_response_der(world().id, world().now);
-  const crypto::PublicKey& key =
-      world().authority.intermediate_cert().public_key();
-  const auto cached =
-      ocsp::verify_ocsp_response_static(body, world().id, key);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ocsp::apply_time_checks(cached, world().now));
-  }
-}
-BENCHMARK(BM_VerifyStaticCached);
 
 }  // namespace
 

@@ -134,14 +134,11 @@ util::SimTime OcspResponder::generation_time(util::SimTime now,
 
 net::HttpResponse OcspResponder::handle(const net::HttpRequest& request,
                                         util::SimTime now,
-                                        net::Region from) {
+                                        net::Region /*from*/) {
+  // No trace event here: scan probes reach this handler on pool workers,
+  // in scheduling order, and the network already records each fetch as a
+  // span when the scanner replays it in canonical order (DESIGN.md §7).
   MUSTAPLE_COUNT("mustaple_ca_ocsp_requests_total");
-  MUSTAPLE_TRACE_INSTANT("ocsp-handle", "ca.ocsp", now,
-                         static_cast<std::uint32_t>(from),
-                         {"host", host_});
-#if !MUSTAPLE_OBS_ENABLED
-  (void)from;
-#endif
   if (request.method != "POST" && request.method != "GET") {
     return net::HttpResponse::make(400, net::default_reason(400), {}, "");
   }

@@ -149,7 +149,7 @@ class HourlyScanner {
   /// likewise for serial-mismatch and bad-signature (asserted in tests).
   const lint::LintReport& lint_report() const { return lint_report_; }
 
-  // ---- cache introspection (tests, perf_suite) ----
+  // ---- cache introspection (tests, mustaple_bench) ----
   //
   // Conservation (hits + misses == lookups) holds per shard and in
   // aggregate at every thread count; the hit/miss SPLIT is the one

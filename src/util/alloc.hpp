@@ -14,7 +14,7 @@
 //    wired up only where a subsystem opts in.
 //  * a process-wide named registry (alloc_counter("scan.validation_cache"))
 //    so subsystems tally under stable names and exporters (ResourceMonitor,
-//    perf_suite, /statusz) can walk every subsystem generically.
+//    mustaple_bench, /statusz) can walk every subsystem generically.
 //
 // This is util, not obs: the accounting stays available (and the wired
 // containers keep their types) under MUSTAPLE_OBS_OFF; only the obs-layer

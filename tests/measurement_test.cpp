@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <string_view>
 
 #include "analysis/adoption.hpp"
 #include "analysis/browser_suite.hpp"
@@ -12,8 +14,12 @@
 #include "measurement/consistency.hpp"
 #include "measurement/ecosystem.hpp"
 #include "measurement/scanner.hpp"
+#include "net/url.hpp"
 #include "obs/prof.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace.hpp"
+#include "ocsp/response.hpp"
+#include "util/alloc.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mustaple::measurement {
@@ -97,10 +103,24 @@ TEST_F(EcosystemFixture, RootStoreCoversAllCas) {
 
 TEST_F(EcosystemFixture, ScanTargetsHaveValidCerts) {
   ASSERT_FALSE(ecosystem.scan_targets().empty());
+  const util::SimTime now = ecosystem.network().now();
   for (const auto& target : ecosystem.scan_targets()) {
     EXPECT_TRUE(target.cert.extensions().supports_ocsp());
     EXPECT_TRUE(target.cert.validity().contains(config.campaign_end));
     ASSERT_LT(target.responder_index, ecosystem.responders().size());
+    EXPECT_TRUE(x509::Certificate::parse(target.cert.encode_der()).ok())
+        << target.cert.serial_hex();
+    // The target's responder is reachable by URL, and its answer for the
+    // target parses as a successful response (malformed bodies are served
+    // by handle(), not built here).
+    ca::OcspResponder& responder = ecosystem.responder(target.responder_index);
+    EXPECT_TRUE(net::parse_url(responder.url()).ok()) << responder.url();
+    const auto id = ocsp::CertId::for_certificate(
+        target.cert, ecosystem.authority(target.ca_index).intermediate_cert());
+    const auto response =
+        ocsp::OcspResponse::parse(responder.build_response_der(id, now));
+    ASSERT_TRUE(response.ok()) << responder.url();
+    EXPECT_TRUE(response.value().successful()) << responder.url();
   }
 }
 
@@ -314,6 +334,10 @@ struct CampaignSummary {
   std::vector<double> margin_cdf;
   std::string timeline_csv;
   std::string lint_json;
+  std::string trace_json;  // trace ids renumbered, see normalize_trace_ids
+  // Named allocation counters that had freed more bytes than they allocated
+  // when the run ended; conservation says there are none.
+  std::vector<std::string> overfreed_alloc_counters;
   // Sharded-cache introspection (conservation sanity, not output equality:
   // the hit/miss split is the one legitimately scheduling-dependent number).
   util::ShardedCacheStats validation_totals;
@@ -321,6 +345,31 @@ struct CampaignSummary {
   util::ShardedCacheStats lint_totals;
   std::vector<util::ShardedCacheStats> lint_shards;
 };
+
+// Renumbers each "trace":N of a rendered Chrome trace by first appearance.
+// Trace ids come from the process-wide obs::next_trace_id(), so a second
+// campaign in the same process gets different ids for the same steps.
+std::string normalize_trace_ids(const std::string& trace) {
+  constexpr std::string_view kKey = "\"trace\":";
+  std::map<std::string, std::size_t> renumbered;
+  std::string out;
+  std::size_t pos = 0;
+  for (std::size_t hit = trace.find(kKey); hit != std::string::npos;
+       hit = trace.find(kKey, pos)) {
+    const std::size_t digits = hit + kKey.size();
+    const std::size_t end = trace.find_first_not_of("0123456789", digits);
+    const std::size_t id =
+        renumbered
+            .try_emplace(trace.substr(digits, end - digits),
+                         renumbered.size() + 1)
+            .first->second;
+    out.append(trace, pos, digits - pos);
+    out += std::to_string(id);
+    pos = end;
+  }
+  out.append(trace, pos);
+  return out;
+}
 
 CampaignSummary run_campaign(std::size_t threads) {
   EcosystemConfig config = small_config();
@@ -334,11 +383,23 @@ CampaignSummary run_campaign(std::size_t threads) {
 
   obs::Timeline timeline(config.campaign_start, scan.interval);
   obs::Timeline* previous = obs::install_timeline(&timeline);
+  obs::TraceLog& trace_log = obs::default_trace_log();
+  trace_log.reset();
+  trace_log.enable(loop.now());
   scanner.run();
+  trace_log.disable();
   timeline.flush(loop.now());
   obs::install_timeline(previous);
 
   CampaignSummary summary;
+  summary.trace_json = normalize_trace_ids(trace_log.render_chrome_trace());
+  trace_log.reset();
+  util::visit_alloc_counters(
+      [&summary](const std::string& name, const util::AllocCounter& counter) {
+        if (counter.freed_bytes() > counter.allocated_bytes()) {
+          summary.overfreed_alloc_counters.push_back(name);
+        }
+      });
   summary.steps = scanner.steps();
   for (std::size_t r = 0; r < scanner.responder_count(); ++r) {
     for (net::Region region : net::all_regions()) {
@@ -474,6 +535,11 @@ void expect_campaigns_identical(const CampaignSummary& one,
   // Inline lint findings accumulate in canonical probe order, so the whole
   // report (counts AND retained finding order) must also be bit-identical.
   EXPECT_EQ(one.lint_json, four.lint_json);
+  // So must the trace: workers record no trace events, and the replay
+  // records every probe's fetch span in canonical order.
+  EXPECT_TRUE(one.trace_json == four.trace_json)
+      << "trace.json differs (" << one.trace_json.size() << " vs "
+      << four.trace_json.size() << " bytes)";
 }
 
 TEST(ScannerThreading, FourThreadsBitIdenticalToOneThread) {
@@ -494,7 +560,13 @@ TEST(ScannerThreading, OneTwoFourThreadsBitIdentical) {
     // per linted body) even though the hit/miss split is not.
     EXPECT_EQ(run->validation_totals.lookups, one.validation_totals.lookups);
     EXPECT_EQ(run->lint_totals.lookups, one.lint_totals.lookups);
+    EXPECT_TRUE(run->overfreed_alloc_counters.empty())
+        << run->overfreed_alloc_counters.front();
   }
+#if MUSTAPLE_OBS_ENABLED
+  // The trace comparison is not vacuous: the fetch spans are in it.
+  EXPECT_NE(one.trace_json.find("\"cat\":\"net\""), std::string::npos);
+#endif
 }
 
 // The fan-out charges one profile scope per pool chunk with the chunk's
