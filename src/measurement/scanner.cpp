@@ -45,6 +45,11 @@ const char* validation_failure_cause(ocsp::CheckOutcome outcome) {
   }
   return nullptr;
 }
+
+// Heap bytes behind `s`: its capacity once it outgrows the inline buffer.
+std::size_t heap_bytes(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? s.capacity() : 0;
+}
 }  // namespace
 
 HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
@@ -55,10 +60,16 @@ HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
       lint_cache_(kCacheShards, kStaticCacheLimit,
                   &util::alloc_counter("scan.lint_cache")),
       targets_tally_(util::alloc_counter("scan.targets")) {
+  // A CertID's issuer hashes depend on the CA alone: hash each CA once.
+  std::vector<ocsp::CertId> issuer_ids;
+  issuer_ids.reserve(ecosystem_->authority_count());
+  for (std::size_t ca = 0; ca < ecosystem_->authority_count(); ++ca) {
+    issuer_ids.push_back(ocsp::CertId::for_issuer(
+        ecosystem_->authority(ca).intermediate_cert()));
+  }
   const auto& targets = ecosystem_->scan_targets();
   targets_.reserve(targets.size());
   for (const auto& t : targets) {
-    Target target;
     // Certificates without an AIA OCSP URL cannot be scan targets; skipping
     // here (rather than dereferencing ocsp_urls.front() blindly) keeps a
     // CRL-only certificate in the population from crashing the campaign.
@@ -67,36 +78,54 @@ HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
                        "hourly");
       continue;
     }
-    const x509::Certificate& issuer =
-        ecosystem_->authority(t.ca_index).intermediate_cert();
-    target.cert_id = ocsp::CertId::for_certificate(t.cert, issuer);
     auto url = net::parse_url(t.cert.extensions().ocsp_urls.front());
     if (!url.ok()) continue;
-    target.url = url.value();
-    target.responder_index = t.responder_index;
-    target.ca_index = t.ca_index;
-    target.request_der = ocsp::OcspRequest::single(target.cert_id).encode_der();
-    targets_.push_back(std::move(target));
+    ocsp::CertId cert_id = issuer_ids[t.ca_index];
+    cert_id.serial = t.cert.serial();
+    // Every probe of this target sends the same POST, so it goes through
+    // the HTTP wire format here, once, instead of once per probe.
+    net::HttpRequest post;
+    post.method = "POST";
+    post.headers.set("content-type", "application/ocsp-request");
+    post.body = ocsp::OcspRequest::single(cert_id).encode_der();
+    net::WireRequest request(std::move(url).take(), std::move(post));
+    targets_.push_back(Target{std::move(cert_id), t.responder_index,
+                              t.ca_index, std::move(request)});
   }
   stats_.resize(ecosystem_->responders().size() * net::kRegionCount);
 
-  // Charge the retained scan-target state (struct storage + the pre-encoded
-  // OCSPRequest DER each target carries) to "scan.targets" so campaign
-  // artifacts can attribute resident bytes to it.
+  // Charge the retained scan-target state to "scan.targets" so campaign
+  // artifacts can attribute resident bytes to it: the struct storage plus
+  // what each target holds on the heap, namely its CertID buffers and its
+  // prepared request (the header entry array, the OCSPRequest DER body, and
+  // every URL, method, path and header string that outgrows its inline
+  // buffer).
   std::size_t target_bytes = targets_.capacity() * sizeof(Target);
-  for (const Target& t : targets_) target_bytes += t.request_der.capacity();
+  for (const Target& t : targets_) {
+    target_bytes += t.cert_id.issuer_name_hash.capacity() +
+                    t.cert_id.issuer_key_hash.capacity() +
+                    t.cert_id.serial.capacity() +
+                    heap_bytes(t.request.url().scheme) +
+                    heap_bytes(t.request.url().host) +
+                    heap_bytes(t.request.url().path);
+    if (!t.request.parsed().ok()) continue;
+    const net::HttpRequest& request = t.request.parsed().value();
+    target_bytes += heap_bytes(request.method) + heap_bytes(request.path) +
+                    request.headers.entries().capacity() *
+                        sizeof(net::HeaderMap::Entry) +
+                    request.body.capacity();
+    for (const auto& [name, value] : request.headers.entries()) {
+      target_bytes += heap_bytes(name) + heap_bytes(value);
+    }
+  }
   targets_tally_.record(target_bytes);
 }
 
 HourlyScanner::ProbeOutcome HourlyScanner::execute_probe(
     const Target& target, net::Region region, std::uint64_t ordinal) {
   ProbeOutcome outcome;
-  net::HttpRequest request;
-  request.method = "POST";
-  request.body = target.request_der;
-  request.headers.set("content-type", "application/ocsp-request");
   outcome.result = ecosystem_->network().http_request_probe(
-      region, target.url, std::move(request), ordinal);
+      region, target.request, ordinal);
   if (!outcome.result.success() || !config_.validate_responses) {
     return outcome;
   }
@@ -193,7 +222,8 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   // Replay the fetch's observability effects (net counters, latency
   // histogram, trace span) here, in canonical probe order, so the metric
   // and trace streams are byte-identical to a single-threaded run.
-  ecosystem_->network().record_fetch(region, target.url, outcome.result);
+  ecosystem_->network().record_fetch(region, target.request.url(),
+                                     outcome.result);
 
   const net::FetchResult& result = outcome.result;
   if (!result.success()) {

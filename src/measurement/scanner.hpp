@@ -195,10 +195,12 @@ class HourlyScanner {
  private:
   struct Target {
     ocsp::CertId cert_id;
-    net::Url url;
     std::size_t responder_index = 0;
     std::size_t ca_index = 0;
-    util::Bytes request_der;  ///< pre-encoded OCSPRequest
+    /// The OCSP POST to the certificate's AIA URL, prepared once and shared
+    /// read-only by every probe of the campaign; its body is the
+    /// OCSPRequest DER.
+    net::WireRequest request;
   };
 
   /// What one probe's pure (order-independent) work produced: the fetch
@@ -268,8 +270,9 @@ class HourlyScanner {
   std::atomic<std::uint64_t> steps_done_{0};
   std::atomic<std::uint64_t> steps_planned_{0};
   std::atomic<std::uint64_t> probes_done_{0};
-  /// Bytes charged for targets_ (pre-encoded requests) under the
-  /// "scan.targets" counter; released on destruction.
+  /// Bytes charged for targets_ (the structs and the heap storage of their
+  /// CertIDs and prepared requests) under the "scan.targets" counter;
+  /// released on destruction.
   util::AllocTally targets_tally_;
 };
 

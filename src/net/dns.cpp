@@ -1,20 +1,17 @@
 #include "net/dns.hpp"
 
-#include "util/strings.hpp"
-
 namespace mustaple::net {
 
-void DnsZone::add_a(const std::string& name, Address address) {
-  a_records_[util::to_lower(name)] = address;
+void DnsZone::add_a(std::string_view name, Address address) {
+  a_records_.insert_or_assign(util::to_lower(name), address);
 }
 
-void DnsZone::add_cname(const std::string& name, const std::string& target) {
-  cnames_[util::to_lower(name)] = util::to_lower(target);
+void DnsZone::add_cname(std::string_view name, std::string_view target) {
+  cnames_.insert_or_assign(util::to_lower(name), util::to_lower(target));
 }
 
-bool DnsZone::has_name(const std::string& name) const {
-  const std::string key = util::to_lower(name);
-  return a_records_.count(key) > 0 || cnames_.count(key) > 0;
+bool DnsZone::has_name(std::string_view name) const {
+  return a_records_.count(name) > 0 || cnames_.count(name) > 0;
 }
 
 bool DnsZone::has_address(Address address) const {
@@ -24,21 +21,23 @@ bool DnsZone::has_address(Address address) const {
   return false;
 }
 
-util::Result<Address> DnsZone::resolve(const std::string& name) const {
+util::Result<Address> DnsZone::resolve(std::string_view name) const {
   using R = util::Result<Address>;
-  std::string current = util::to_lower(name);
+  std::string_view current = name;
   for (int hop = 0; hop < 8; ++hop) {
     const auto a = a_records_.find(current);
     if (a != a_records_.end()) return a->second;
     const auto cname = cnames_.find(current);
-    if (cname == cnames_.end()) return R::failure("dns.nxdomain", current);
+    if (cname == cnames_.end()) {
+      return R::failure("dns.nxdomain", util::to_lower(current));
+    }
     current = cname->second;
   }
-  return R::failure("dns.cname_loop", name);
+  return R::failure("dns.cname_loop", std::string(name));
 }
 
-std::string DnsZone::canonical_name(const std::string& name) const {
-  std::string current = util::to_lower(name);
+std::string_view DnsZone::canonical_name(std::string_view name) const {
+  std::string_view current = name;
   for (int hop = 0; hop < 8; ++hop) {
     const auto cname = cnames_.find(current);
     if (cname == cnames_.end()) return current;

@@ -20,9 +20,9 @@ const char* to_string(FaultMode mode) {
   return "?";
 }
 
-bool FaultRule::applies(const std::string& host, Region from,
+bool FaultRule::applies(std::string_view host, Region from,
                         util::SimTime now) const {
-  if (host != canonical_host) return false;
+  if (!util::equals_ignore_case(host, canonical_host)) return false;
   if (!regions.empty() && regions.count(from) == 0) return false;
   if (window_start && now < *window_start) return false;
   if (window_end && now >= *window_end) return false;
@@ -30,12 +30,13 @@ bool FaultRule::applies(const std::string& host, Region from,
 }
 
 void FaultPlan::add(FaultRule rule) {
+  rule.canonical_host = util::to_lower(rule.canonical_host);
   std::vector<FaultRule>& host_rules = rules_[rule.canonical_host];
   host_rules.push_back(std::move(rule));
   ++size_;
 }
 
-std::optional<FaultMode> FaultPlan::check(const std::string& canonical_host,
+std::optional<FaultMode> FaultPlan::check(std::string_view canonical_host,
                                           Region from,
                                           util::SimTime now) const {
   const auto host = rules_.find(canonical_host);

@@ -9,16 +9,18 @@
 //     unavailable gradually", Fig 3's first-month decline).
 //
 // Faults key on the *canonical* DNS name, so aliases inherit the outage of
-// their CNAME target exactly as the paper observed.
+// their CNAME target exactly as the paper observed. Names match in any case
+// (RFC 4343), as DNS does.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "net/dns.hpp"
 #include "net/vantage.hpp"
 #include "util/sim_time.hpp"
 
@@ -48,7 +50,7 @@ struct FaultRule {
   std::optional<util::SimTime> window_start;
   std::optional<util::SimTime> window_end;
 
-  bool applies(const std::string& host, Region from, util::SimTime now) const;
+  bool applies(std::string_view host, Region from, util::SimTime now) const;
 };
 
 /// All scheduled faults for a run; evaluated on every simulated request.
@@ -59,15 +61,14 @@ class FaultPlan {
   /// First matching rule in insertion order, or nullopt when the request
   /// should succeed. Only the probed host's rules are scanned: no other
   /// rule can match, so the first match is the same as a full scan's.
-  std::optional<FaultMode> check(const std::string& canonical_host,
+  std::optional<FaultMode> check(std::string_view canonical_host,
                                  Region from, util::SimTime now) const;
 
   std::size_t size() const { return size_; }
 
  private:
-  /// canonical host -> that host's rules in insertion order. Lookup only,
-  /// never iterated, so the hash order cannot reach any output.
-  std::unordered_map<std::string, std::vector<FaultRule>> rules_;
+  /// Lowercase canonical host -> that host's rules in insertion order.
+  HostMap<std::vector<FaultRule>> rules_;
   std::size_t size_ = 0;
 };
 

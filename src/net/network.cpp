@@ -4,6 +4,7 @@
 
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace mustaple::net {
 
@@ -45,15 +46,22 @@ const char* error_kind_label(TransportError error, int status_code) {
   return status_code >= 400 ? "http" : nullptr;
 }
 
-void Network::set_host_region(const std::string& canonical_host,
+WireRequest::WireRequest(Url url, HttpRequest request)
+    : url_(std::move(url)), parsed_([&] {
+        request.path = url_.path;
+        request.headers.set("host", url_.host);
+        return HttpRequest::parse(request.serialize());
+      }()) {}
+
+void Network::set_host_region(std::string_view canonical_host,
                               Region region) {
-  host_regions_[canonical_host] = region;
+  host_regions_.insert_or_assign(util::to_lower(canonical_host), region);
 }
 
 void Network::register_service(const std::string& host, std::uint16_t port,
                                HttpHandler handler) {
-  services_[host + ":" + std::to_string(port)] = std::move(handler);
-  if (!dns_.has_name(host)) {
+  std::string name = util::to_lower(host);
+  if (!dns_.has_name(name)) {
     // Auto-assign a deterministic address so registration is one call.
     // FNV-1a (not std::hash, whose result is implementation-defined and
     // would make campaigns non-reproducible across standard libraries),
@@ -62,16 +70,25 @@ void Network::register_service(const std::string& host, std::uint16_t port,
     // address (the paper's six-responders-one-IP case) use dns().add_a
     // explicitly before registration.
     Address address =
-        static_cast<Address>(util::fnv1a64(host) & 0xffffffffu);
+        static_cast<Address>(util::fnv1a64(name) & 0xffffffffu);
     while (dns_.has_address(address)) {
       address = address * 1664525u + 1013904223u;  // full-period LCG step
     }
-    dns_.add_a(host, address);
+    dns_.add_a(name, address);
   }
+  services_[std::move(name)].insert_or_assign(port, std::move(handler));
 }
 
 bool Network::has_service(const std::string& host, std::uint16_t port) const {
-  return services_.count(host + ":" + std::to_string(port)) > 0;
+  return find_service(host, port) != nullptr;
+}
+
+const HttpHandler* Network::find_service(std::string_view host,
+                                         std::uint16_t port) const {
+  const auto ports = services_.find(host);
+  if (ports == services_.end()) return nullptr;
+  const auto handler = ports->second.find(port);
+  return handler == ports->second.end() ? nullptr : &handler->second;
 }
 
 double sample_probe_latency_ms(std::uint64_t latency_seed, Region from,
@@ -93,7 +110,7 @@ double sample_probe_latency_ms(std::uint64_t latency_seed, Region from,
   return std::max(1.0, rng.normal_approx(2.0 * rtt, 0.15 * rtt));
 }
 
-double Network::sample_latency_ms(Region from, const std::string& host,
+double Network::sample_latency_ms(Region from, std::string_view host,
                                   std::uint64_t ordinal) const {
   Region host_region = Region::kVirginia;
   const auto it = host_regions_.find(host);
@@ -101,15 +118,15 @@ double Network::sample_latency_ms(Region from, const std::string& host,
   // The canonical host name is folded into the seed (rather than passed as
   // a field) so two hosts in the same region still jitter independently.
   const std::uint64_t keyed_seed =
-      util::hash_combine(latency_seed_, util::fnv1a64(host));
+      util::hash_combine(latency_seed_, host_hash(host));
   return sample_probe_latency_ms(keyed_seed, from, host_region, loop_->now(),
                                  ordinal);
 }
 
 FetchResult Network::http_request(Region from, const Url& url,
                                   HttpRequest request) {
-  FetchResult result =
-      http_request_impl(from, url, std::move(request), fetch_sequence_++);
+  FetchResult result = http_request_probe(
+      from, WireRequest(url, std::move(request)), fetch_sequence_++);
   record_fetch(from, url, result);
   return result;
 }
@@ -117,7 +134,8 @@ FetchResult Network::http_request(Region from, const Url& url,
 FetchResult Network::http_request_probe(Region from, const Url& url,
                                         HttpRequest request,
                                         std::uint64_t probe_ordinal) const {
-  return http_request_impl(from, url, std::move(request), probe_ordinal);
+  return http_request_probe(from, WireRequest(url, std::move(request)),
+                            probe_ordinal);
 }
 
 void Network::record_fetch(Region from, const Url& url,
@@ -157,11 +175,15 @@ void Network::record_fetch(Region from, const Url& url,
 #endif
 }
 
-FetchResult Network::http_request_impl(Region from, const Url& url,
-                                       HttpRequest request,
-                                       std::uint64_t ordinal) const {
+FetchResult Network::http_request_probe(Region from,
+                                        const WireRequest& request,
+                                        std::uint64_t ordinal) const {
   FetchResult result;
-  const std::string canonical = dns_.canonical_name(url.host);
+  const Url& url = request.url();
+  // Routing runs per probe (a test or campaign may re-register a service
+  // or add a fault mid-run) but builds no string: every lookup below takes
+  // the canonical name as a view.
+  const std::string_view canonical = dns_.canonical_name(url.host);
   result.latency_ms = sample_latency_ms(from, canonical, ordinal);
 
   // Injected faults are evaluated on the canonical name so CNAME aliases
@@ -198,22 +220,19 @@ FetchResult Network::http_request_impl(Region from, const Url& url,
     return result;
   }
 
-  const auto service = services_.find(canonical + ":" + std::to_string(url.port));
-  if (service == services_.end()) {
+  const HttpHandler* service = find_service(canonical, url.port);
+  if (service == nullptr) {
     result.error = TransportError::kTcpFailure;
     return result;
   }
 
-  request.path = url.path;
-  request.headers.set("host", url.host);
-  // Round-trip through the wire format so handlers see honestly parsed
-  // messages and malformed handler output is caught at the client.
-  auto reparsed = HttpRequest::parse(request.serialize());
-  if (!reparsed.ok()) {
+  // The request went through the wire format once, when it was built;
+  // a message the parser rejected is the server's 400.
+  if (!request.parsed().ok()) {
     result.response = HttpResponse::make(400, default_reason(400), {}, "");
     return result;
   }
-  result.response = service->second(reparsed.value(), loop_->now(), from);
+  result.response = (*service)(request.parsed().value(), loop_->now(), from);
   return result;
 }
 

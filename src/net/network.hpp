@@ -60,6 +60,27 @@ struct FetchResult {
 using HttpHandler = std::function<HttpResponse(
     const HttpRequest&, util::SimTime now, Region from)>;
 
+/// A request as the service at `url` receives it: `request` with the URL's
+/// path and Host header set, serialized and parsed back once, so handlers
+/// see an honestly parsed message. It keeps the URL it was built for. Build
+/// one per distinct request and pass it to any number of exchanges;
+/// concurrent exchanges share it read-only. A request the parser rejects
+/// keeps its error and is answered 400 at exchange time, after the fault,
+/// DNS and service checks.
+class WireRequest {
+ public:
+  WireRequest(Url url, HttpRequest request);
+
+  /// Where the request goes.
+  const Url& url() const { return url_; }
+  /// The parsed request, or the parse error.
+  const util::Result<HttpRequest>& parsed() const { return parsed_; }
+
+ private:
+  Url url_;
+  util::Result<HttpRequest> parsed_;
+};
+
 /// Counter-based latency sample: a pure function of its key, so concurrent
 /// probes draw identical jitter no matter which thread or order executes
 /// them — the foundation of the scanner's thread-count-independent output.
@@ -81,8 +102,8 @@ class Network {
   FaultPlan& faults() { return faults_; }
 
   /// Hosting region per canonical host (affects latency); defaults to
-  /// Virginia when unset.
-  void set_host_region(const std::string& canonical_host, Region region);
+  /// Virginia when unset. Host names match in any case, as in DNS.
+  void set_host_region(std::string_view canonical_host, Region region);
 
   void register_service(const std::string& host, std::uint16_t port,
                         HttpHandler handler);
@@ -96,14 +117,17 @@ class Network {
                         const std::string& content_type);
   FetchResult http_get(Region from, const Url& url);
 
-  /// The scanner's parallel fan-out entry point: the same exchange as
-  /// http_request, but (a) const — no Network state is touched, so
+  /// The one exchange every fetch ends in, and the scanner's parallel
+  /// fan-out entry point: (a) const — no Network state is touched, so
   /// concurrent calls are sound as long as the registered handlers are
   /// thread-safe — and (b) observability-free: no registry, trace, or log
   /// writes happen here. The caller passes a deterministic `probe_ordinal`
   /// for the latency sample and replays record_fetch() afterwards, in
   /// canonical probe order, so metric/trace output stays bit-identical
   /// across thread counts.
+  FetchResult http_request_probe(Region from, const WireRequest& request,
+                                 std::uint64_t probe_ordinal) const;
+  /// The same, for a one-off request to `url`: builds its WireRequest first.
   FetchResult http_request_probe(Region from, const Url& url,
                                  HttpRequest request,
                                  std::uint64_t probe_ordinal) const;
@@ -118,11 +142,11 @@ class Network {
   EventLoop& loop() { return *loop_; }
 
  private:
-  double sample_latency_ms(Region from, const std::string& host,
+  double sample_latency_ms(Region from, std::string_view host,
                            std::uint64_t ordinal) const;
-  FetchResult http_request_impl(Region from, const Url& url,
-                                HttpRequest request,
-                                std::uint64_t ordinal) const;
+  /// The handler bound to host:port, or nullptr.
+  const HttpHandler* find_service(std::string_view host,
+                                  std::uint16_t port) const;
 
   EventLoop* loop_;
   std::uint64_t latency_seed_;
@@ -133,8 +157,8 @@ class Network {
   std::uint64_t fetch_sequence_ = 0;
   DnsZone dns_;
   FaultPlan faults_;
-  std::map<std::string, Region> host_regions_;
-  std::map<std::string, HttpHandler> services_;  ///< key "host:port"
+  HostMap<Region> host_regions_;
+  HostMap<std::map<std::uint16_t, HttpHandler>> services_;  ///< host -> port
 };
 
 }  // namespace mustaple::net

@@ -4,7 +4,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 
 #include "util/hash.hpp"
 #include "util/strings.hpp"
@@ -45,21 +44,6 @@ std::size_t find_head_end(const std::uint8_t* data, std::size_t begin,
       ::memmem(data + begin, end - begin, kSep, kHeadSepLen));
   if (hit == nullptr) return std::string::npos;
   return static_cast<std::size_t>(hit - data);
-}
-
-/// Parses a Content-Length value; false on non-digit or overflow-prone text.
-bool parse_content_length(const std::string& declared, std::size_t* out) {
-  if (declared.empty()) return false;
-  std::size_t length = 0;
-  for (const char c : declared) {
-    if (c < '0' || c > '9') return false;
-    if (length > (std::numeric_limits<std::size_t>::max() - 9) / 10) {
-      return false;
-    }
-    length = length * 10 + static_cast<std::size_t>(c - '0');
-  }
-  *out = length;
-  return true;
 }
 
 HttpResponse plain_response(int status, const char* reason,
@@ -413,13 +397,11 @@ bool SocketServer::drain_requests(Connection& conn) {
       break;
     }
 
-    // Parse the head slice alone: HttpRequest::parse treats everything after
-    // CRLFCRLF as body, so pipelined requests must be framed here and the
-    // body carved out by Content-Length.
-    Bytes head_wire(conn.in.begin() + static_cast<std::ptrdiff_t>(conn.in_off),
-                    conn.in.begin() +
-                        static_cast<std::ptrdiff_t>(conn.in_off + head_len));
-    auto parsed = HttpRequest::parse(head_wire);
+    // Parse the head slice alone, in place: HttpRequest::parse treats
+    // everything after CRLFCRLF as body, so pipelined requests must be
+    // framed here and the body carved out by Content-Length.
+    auto parsed = HttpRequest::parse(
+        util::BytesView(conn.in.data() + conn.in_off, head_len));
     if (!parsed.ok()) {
       queue_response(
           conn,
@@ -432,15 +414,19 @@ bool SocketServer::drain_requests(Connection& conn) {
     HttpRequest request = std::move(parsed).take();
 
     std::size_t body_len = 0;
-    const std::string declared = request.headers.get("content-length");
-    if (!declared.empty() &&
-        !parse_content_length(util::trim(declared), &body_len)) {
-      queue_response(conn,
-                     plain_response(400, "Bad Request",
-                                    "bad content-length: " + declared + "\n"),
-                     /*close_after=*/true);
-      r400_.fetch_add(1, std::memory_order_relaxed);
-      break;
+    const std::string* declared = request.headers.find("content-length");
+    if (declared != nullptr && !declared->empty()) {
+      const auto length = parse_content_length(*declared);
+      if (!length) {
+        queue_response(
+            conn,
+            plain_response(400, "Bad Request",
+                           "bad content-length: " + *declared + "\n"),
+            /*close_after=*/true);
+        r400_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+      body_len = *length;
     }
     if (head_len + body_len > options_.max_request_bytes) {
       queue_response(conn,
@@ -459,8 +445,9 @@ bool SocketServer::drain_requests(Connection& conn) {
     conn.in_off += head_len + body_len;
     progressed = true;
 
+    const std::string* connection = request.headers.find("connection");
     const bool client_close =
-        util::to_lower(request.headers.get("connection")) == "close";
+        connection != nullptr && util::equals_ignore_case(*connection, "close");
     HttpResponse response = listeners_[conn.listener]->handler(request);
     requests_.fetch_add(1, std::memory_order_relaxed);
     queue_response(conn, std::move(response),
@@ -493,8 +480,7 @@ void SocketServer::queue_response(Connection& conn, HttpResponse response,
   } else {
     response.headers.set("Connection", "keep-alive");
   }
-  const Bytes wire = response.serialize();
-  util::append(conn.out, wire);
+  response.serialize_to(conn.out);
 }
 
 bool SocketServer::flush_ready(Worker& worker, Connection& conn) {

@@ -7,12 +7,17 @@ namespace mustaple::ocsp {
 
 CertId CertId::for_certificate(const x509::Certificate& subject,
                                const x509::Certificate& issuer) {
+  CertId id = for_issuer(issuer);
+  id.serial = subject.serial();
+  return id;
+}
+
+CertId CertId::for_issuer(const x509::Certificate& issuer) {
   asn1::Writer issuer_name;
   issuer.subject().encode(issuer_name);
   CertId id;
   id.issuer_name_hash = crypto::Sha1::hash(issuer_name.bytes());
   id.issuer_key_hash = crypto::Sha1::hash(issuer.public_key().encode());
-  id.serial = subject.serial();
   return id;
 }
 

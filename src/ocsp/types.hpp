@@ -24,6 +24,9 @@ struct CertId {
   /// Derives the CertID for `subject` issued by `issuer`.
   static CertId for_certificate(const x509::Certificate& subject,
                                 const x509::Certificate& issuer);
+  /// The issuer half alone (both hashes, empty serial): copy it and set
+  /// `serial` to key many certificates of one issuer without rehashing.
+  static CertId for_issuer(const x509::Certificate& issuer);
 
   friend bool operator==(const CertId&, const CertId&) = default;
   friend auto operator<=>(const CertId&, const CertId&) = default;

@@ -29,16 +29,16 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = static_cast<char>(ascii_lower(c));
   return out;
 }
 
-std::string trim(std::string_view text) {
+std::string_view trim(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  return std::string(text.substr(b, e - b));
+  return text.substr(b, e - b);
 }
 
 bool starts_with(std::string_view text, std::string_view prefix) {

@@ -18,8 +18,34 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// ASCII lowercase copy.
 std::string to_lower(std::string_view text);
 
-/// Trims ASCII whitespace from both ends.
-std::string trim(std::string_view text);
+/// One byte in ASCII lowercase, as std::tolower in the "C" locale.
+constexpr unsigned char ascii_lower(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  return byte >= 'A' && byte <= 'Z'
+             ? static_cast<unsigned char>(byte + ('a' - 'A'))
+             : byte;
+}
+
+/// ASCII case-insensitive three-way comparison: the sign of
+/// to_lower(a).compare(to_lower(b)), without either copy. Inline because
+/// the simulated network's host-keyed tables compare with it per probe.
+inline int compare_ignore_case(std::string_view a, std::string_view b) {
+  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char ca = ascii_lower(a[i]);
+    const unsigned char cb = ascii_lower(b[i]);
+    if (ca != cb) return ca < cb ? -1 : 1;
+  }
+  if (a.size() == b.size()) return 0;
+  return a.size() < b.size() ? -1 : 1;
+}
+
+inline bool equals_ignore_case(std::string_view a, std::string_view b) {
+  return a.size() == b.size() && compare_ignore_case(a, b) == 0;
+}
+
+/// Trims ASCII whitespace from both ends; the result views `text`.
+std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
