@@ -160,9 +160,11 @@ MustStapleStudy::MustStapleStudy(StudyConfig config)
 #if MUSTAPLE_OBS_ENABLED
 
 void MustStapleStudy::register_default_health_rules() {
-  // Conservation: every cache lookup is exactly one hit or one miss, at any
-  // thread count (PR 4's invariant, now continuously watched). Only
-  // checkable while a scanner is live; in between, trivially ok.
+  // Conservation: every check-memo lookup is exactly one hit or one miss.
+  // The scanner keeps hits and misses as relaxed atomics and derives
+  // lookups from them, so this mid-scan read from the resource-monitor
+  // thread is never torn. Only checkable while a scanner is live; in
+  // between, trivially ok.
   const auto cache_conservation = [this](auto stats_of) {
     return [this, stats_of]() {
       obs::HealthCheckResult result;

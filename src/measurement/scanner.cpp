@@ -2,26 +2,15 @@
 
 #include <stdexcept>
 
-#include "crypto/sha256.hpp"
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "ocsp/request.hpp"
-#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mustaple::measurement {
 
 namespace {
 constexpr std::int64_t kCachedThresholdSeconds = 120;  // §5.4's 2 minutes
-constexpr std::size_t kStaticCacheLimit = 200'000;     // entries before reset
-// Lock stripes per cache. 16 shards keeps contention negligible at any
-// plausible MUSTAPLE_SCAN_THREADS while the per-shard maps stay big enough
-// (12.5k entries) that clearing stays rare.
-constexpr std::size_t kCacheShards = 16;
-
-std::uint64_t body_cache_key(std::size_t responder, const util::Bytes& body) {
-  return util::hash_combine(util::mix64(responder), util::fnv1a64(body));
-}
 
 // The `cause` label of mustaple_scan_validation_failures_total; nullptr for
 // outcomes that are not counted as failures.
@@ -50,16 +39,25 @@ const char* validation_failure_cause(ocsp::CheckOutcome outcome) {
 std::size_t heap_bytes(const std::string& s) {
   return s.capacity() > std::string().capacity() ? s.capacity() : 0;
 }
+
+// Heap bytes behind one finding list: the vector, its elements and their
+// strings.
+std::size_t heap_bytes(const std::vector<lint::Finding>& findings) {
+  std::size_t bytes =
+      sizeof(findings) + findings.capacity() * sizeof(lint::Finding);
+  for (const lint::Finding& f : findings) {
+    bytes += heap_bytes(f.rule_id) + heap_bytes(f.artifact) +
+             heap_bytes(f.message);
+  }
+  return bytes;
+}
 }  // namespace
 
 HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
     : ecosystem_(&ecosystem),
       config_(config),
-      static_cache_(kCacheShards, kStaticCacheLimit,
-                    &util::alloc_counter("scan.validation_cache")),
-      lint_cache_(kCacheShards, kStaticCacheLimit,
-                  &util::alloc_counter("scan.lint_cache")),
-      targets_tally_(util::alloc_counter("scan.targets")) {
+      targets_tally_(util::alloc_counter("scan.targets")),
+      memo_counter_(&util::alloc_counter("scan.validation_cache")) {
   // A CertID's issuer hashes depend on the CA alone: hash each CA once.
   std::vector<ocsp::CertId> issuer_ids;
   issuer_ids.reserve(ecosystem_->authority_count());
@@ -119,79 +117,73 @@ HourlyScanner::HourlyScanner(Ecosystem& ecosystem, ScanConfig config)
     }
   }
   targets_tally_.record(target_bytes);
+
+  if (config_.validate_responses) {
+    memo_.resize(targets_.size());
+    memo_counter_->record_alloc(memo_.capacity() * sizeof(CheckMemo));
+  }
+}
+
+HourlyScanner::~HourlyScanner() {
+  std::size_t resident = memo_.capacity() * sizeof(CheckMemo);
+  for (const CheckMemo& memo : memo_) resident += memo.charged_bytes;
+  if (resident > 0) memo_counter_->record_free(resident);
 }
 
 HourlyScanner::ProbeOutcome HourlyScanner::execute_probe(
-    const Target& target, net::Region region, std::uint64_t ordinal) {
+    std::size_t target_index, net::Region region, std::uint64_t ordinal) {
+  const Target& target = targets_[target_index];
   ProbeOutcome outcome;
   outcome.result = ecosystem_->network().http_request_probe(
       region, target.request, ordinal);
+  // The slot keeps only what accumulate_probe reads: the body and headers
+  // are released here, on the worker, once the body is checked.
+  util::Bytes body = std::move(outcome.result.response.body);
+  outcome.result.response.headers = net::HeaderMap();
   if (!outcome.result.success() || !config_.validate_responses) {
     return outcome;
   }
 
-  const util::Bytes& body = outcome.result.response.body;
-  const crypto::PublicKey& issuer_key =
-      ecosystem_->authority(target.ca_index).intermediate_cert().public_key();
-  const util::SimTime now = ecosystem_->network().now();
-
-  // Static (clock-independent) validation is cached by body bytes. The
-  // 64-bit key is only a bucket address: a hit must also match the stored
-  // size + SHA-256, otherwise a hash collision would silently hand probe B
-  // the verdict computed for probe A's different body.
-  const std::uint64_t key = body_cache_key(target.responder_index, body);
-  const util::Bytes digest = crypto::Sha256::hash(body);
-  if (const auto cached = static_cache_.lookup(key)) {
-    if (cached->body_size == body.size() && cached->body_sha256 == digest) {
-      outcome.verdict = ocsp::apply_time_checks(cached->verdict, now);
-      outcome.validated = true;
-      if (config_.lint_responses) lint_probe(target, outcome);
-      return outcome;
-    }
-    static_cache_.note_collision(key);
-    MUSTAPLE_COUNT("mustaple_scan_cache_collisions_total");
-  }
-  // Miss (or collision): verify outside any lock — concurrent probes may
-  // duplicate the work for the same body, but verification is pure, so the
-  // last writer's entry is identical to every other's.
-  const ocsp::VerifiedResponse static_verdict =
-      ocsp::verify_ocsp_response_static(body, target.cert_id, issuer_key);
-  static_cache_.insert(key,
-                       StaticCacheEntry{body.size(), digest, static_verdict});
-  outcome.verdict = ocsp::apply_time_checks(static_verdict, now);
+  // The body is compared with the last one this target returned, size
+  // first, then bytes; only a different body is verified and linted.
+  CheckMemo& memo = memo_[target_index];
+  outcome.memo_hit = memo.body == body;
+  if (!outcome.memo_hit) check_body(target, memo, std::move(body));
+  outcome.verdict =
+      ocsp::apply_time_checks(memo.verdict, ecosystem_->network().now());
   outcome.validated = true;
-  if (config_.lint_responses) lint_probe(target, outcome);
+  outcome.findings = memo.findings;
   return outcome;
 }
 
-void HourlyScanner::lint_probe(const Target& target, ProbeOutcome& outcome) {
-  const util::Bytes& body = outcome.result.response.body;
-  const util::Bytes& serial = target.cert_id.serial;
-  const std::uint64_t key = util::hash_combine(
-      body_cache_key(target.responder_index, body), util::fnv1a64(serial));
-  const util::Bytes digest = crypto::Sha256::hash(body);
-  if (auto cached = lint_cache_.lookup(key)) {
-    if (cached->body_size == body.size() && cached->body_sha256 == digest &&
-        cached->serial == serial) {
-      outcome.findings = std::move(cached->findings);
-      outcome.linted = true;
-      return;
-    }
-    lint_cache_.note_collision(key);
-    MUSTAPLE_COUNT("mustaple_lint_cache_collisions_total");
+void HourlyScanner::check_body(const Target& target, CheckMemo& memo,
+                               util::Bytes body) {
+  const x509::Certificate& issuer =
+      ecosystem_->authority(target.ca_index).intermediate_cert();
+  memo.verdict = ocsp::verify_ocsp_response_static(body, target.cert_id,
+                                                   issuer.public_key());
+  if (config_.lint_responses) {
+    // Lint runs clock-free (no Context::now), so the findings, like the
+    // static verdict, hold for as long as the body does.
+    lint::Context ctx;
+    ctx.issuer = &issuer;
+    ctx.requested_serial = target.cert_id.serial;
+    lint::Artifact artifact = lint::Artifact::ocsp_response(
+        ecosystem_->responders()[target.responder_index].host,
+        std::move(body), ctx);
+    memo.findings = std::make_shared<const std::vector<lint::Finding>>(
+        lint::lint_artifact(lint::RuleRegistry::builtin(), artifact));
+    body = std::move(artifact.der);
   }
-  // Lint runs clock-free (no Context::now), so findings for a given
-  // (responder, body, serial) never change across scan steps — identical
-  // discipline to the static-verdict cache above.
-  lint::Context ctx;
-  ctx.issuer = &ecosystem_->authority(target.ca_index).intermediate_cert();
-  ctx.requested_serial = serial;
-  lint::Artifact artifact = lint::Artifact::ocsp_response(
-      ecosystem_->responders()[target.responder_index].host, body, ctx);
-  outcome.findings = lint::lint_artifact(lint::RuleRegistry::builtin(), artifact);
-  outcome.linted = true;
-  lint_cache_.insert(
-      key, LintCacheEntry{body.size(), digest, serial, outcome.findings});
+  memo.body = std::move(body);
+
+  // Workers replace entries concurrently; the counter is atomic.
+  const std::size_t charged = memo.charged_bytes;
+  memo.charged_bytes = memo.body->capacity() +
+                       heap_bytes(memo.verdict.error_code) +
+                       (memo.findings ? heap_bytes(*memo.findings) : 0);
+  if (charged > 0) memo_counter_->record_free(charged);
+  memo_counter_->record_alloc(memo.charged_bytes);
 }
 
 void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
@@ -251,11 +243,12 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   MUSTAPLE_COUNT_ENUM("mustaple_scan_successes_total", "region", region,
                       net::kRegionCount, net::to_string(region));
 
+  if (!outcome.validated) return;
+  (outcome.memo_hit ? memo_hits_ : memo_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
   // Lint findings replay here, in canonical probe order, so the report (and
   // its obs counters) is byte-identical at every thread count.
-  if (outcome.linted) lint_report_.add(outcome.findings);
-
-  if (!outcome.validated) return;
+  if (outcome.findings) lint_report_.add(*outcome.findings);
 
   const util::SimTime now = ecosystem_->network().now();
   const ocsp::VerifiedResponse& verdict = outcome.verdict;
@@ -327,6 +320,21 @@ void HourlyScanner::accumulate_probe(const Target& target, net::Region region,
   stats.last_observed_at = now.unix_seconds;
 }
 
+util::ShardedCacheStats HourlyScanner::validation_cache_stats() const {
+  // Lookups is derived, so a mid-campaign reader never sees it disagree
+  // with the split.
+  util::ShardedCacheStats stats;
+  stats.hits = memo_hits_.load(std::memory_order_relaxed);
+  stats.misses = memo_misses_.load(std::memory_order_relaxed);
+  stats.lookups = stats.hits + stats.misses;
+  return stats;
+}
+
+util::ShardedCacheStats HourlyScanner::lint_cache_stats() const {
+  return config_.lint_responses ? validation_cache_stats()
+                                : util::ShardedCacheStats{};
+}
+
 void HourlyScanner::run() {
   if (ran_) throw std::logic_error("HourlyScanner::run called twice");
   ran_ = true;
@@ -394,15 +402,18 @@ void HourlyScanner::run() {
       OBS_PROF_SCOPE("scan.fanout");
       const auto prof_parent = OBS_PROF_CURRENT();
       pool.parallel_for_chunks(
-          outcomes.size(), [&](std::size_t begin, std::size_t end) {
+          targets_.size(), [&](std::size_t begin, std::size_t end) {
             // One scope per pool chunk, charged with its probe count: the
             // profile counts probes, the clocks are read once per chunk.
             OBS_PROF_TASK_SCOPE(prof_parent, "scan.execute_probe",
-                                end - begin);
-            for (std::size_t p = begin; p < end; ++p) {
-              const net::Region region = regions[p / targets_.size()];
-              const Target& target = targets_[p % targets_.size()];
-              outcomes[p] = execute_probe(target, region, step_base + p + 1);
+                                (end - begin) * net::kRegionCount);
+            // Target-major: each target's regions run in order on this
+            // worker, so only this worker touches the target's memo entry.
+            for (std::size_t t = begin; t < end; ++t) {
+              for (std::size_t g = 0; g < net::kRegionCount; ++g) {
+                const std::size_t p = g * targets_.size() + t;
+                outcomes[p] = execute_probe(t, regions[g], step_base + p + 1);
+              }
             }
           });
     }

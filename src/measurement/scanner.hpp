@@ -12,6 +12,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -29,13 +31,12 @@ struct ScanConfig {
   /// Optional cap on scan steps (0 = run the whole campaign window).
   std::size_t max_steps = 0;
   /// When false, only transport/HTTP availability is recorded (Figs 3/4)
-  /// and the client-side response validation is skipped — roughly 3x
-  /// faster for availability-only campaigns.
+  /// and the client-side response validation is skipped.
   bool validate_responses = true;
   /// When true (and validate_responses is on), every HTTP-200 body is also
   /// run through the lint::RuleRegistry::builtin() catalog; findings
-  /// aggregate into lint_report(). Clock-free rules only, so the per-body
-  /// cache stays valid across scan steps.
+  /// aggregate into lint_report(). Clock-free rules only, so a target's
+  /// findings hold for as long as the body it returns stays the same.
   bool lint_responses = true;
   /// Worker threads for the per-step probe fan-out. 0 = auto: the
   /// MUSTAPLE_SCAN_THREADS environment variable when set, else 1. Every
@@ -90,6 +91,10 @@ struct StepTotals {
 class HourlyScanner {
  public:
   HourlyScanner(Ecosystem& ecosystem, ScanConfig config);
+  /// Releases the check memo's bytes from "scan.validation_cache".
+  ~HourlyScanner();
+  HourlyScanner(const HourlyScanner&) = delete;
+  HourlyScanner& operator=(const HourlyScanner&) = delete;
 
   /// Runs the full campaign. Idempotent guard: second call throws.
   void run();
@@ -149,28 +154,17 @@ class HourlyScanner {
   /// likewise for serial-mismatch and bad-signature (asserted in tests).
   const lint::LintReport& lint_report() const { return lint_report_; }
 
-  // ---- cache introspection (tests, mustaple_bench) ----
+  // ---- check-memo statistics (tests, mustaple_bench, health checks) ----
   //
-  // Conservation (hits + misses == lookups) holds per shard and in
-  // aggregate at every thread count; the hit/miss SPLIT is the one
-  // scheduling-dependent number in a campaign (two workers can both miss
-  // the same key before either inserts) and feeds no campaign output.
-  std::size_t validation_cache_shards() const {
-    return static_cache_.shard_count();
-  }
-  util::ShardedCacheStats validation_cache_shard_stats(std::size_t s) const {
-    return static_cache_.shard_stats(s);
-  }
-  util::ShardedCacheStats validation_cache_stats() const {
-    return static_cache_.totals();
-  }
-  std::size_t lint_cache_shards() const { return lint_cache_.shard_count(); }
-  util::ShardedCacheStats lint_cache_shard_stats(std::size_t s) const {
-    return lint_cache_.shard_stats(s);
-  }
-  util::ShardedCacheStats lint_cache_stats() const {
-    return lint_cache_.totals();
-  }
+  // A validated probe is one lookup; it hits when its body is byte-equal to
+  // the last one checked for its target. The counts are taken in
+  // accumulate_probe from each slot's hit flag, so the hit/miss split is a
+  // campaign output, identical at every thread count, and misses count the
+  // verify calls. Only lookups, hits and misses are filled in.
+  util::ShardedCacheStats validation_cache_stats() const;
+  /// With lint on, every validated body is linted from the same memo, so
+  /// these equal validation_cache_stats(); all zero with lint off.
+  util::ShardedCacheStats lint_cache_stats() const;
 
   // ---- live progress (introspection server's /statusz) ----
   //
@@ -203,14 +197,29 @@ class HourlyScanner {
     net::WireRequest request;
   };
 
+  /// The last HTTP-200 body checked for one target and what checking it
+  /// produced. The checks' other inputs (the requested CertID, the issuer
+  /// key, the responder host) are fixed per target, so a byte-equal body
+  /// has the same static verdict and the same clock-free findings.
+  struct CheckMemo {
+    std::optional<util::Bytes> body;  ///< nullopt until the first check
+    ocsp::VerifiedResponse verdict{};  ///< before the time checks
+    /// Null when lint is off. Shared with the step's outcome slots, which
+    /// keep their findings when a later region's probe replaces the entry.
+    std::shared_ptr<const std::vector<lint::Finding>> findings;
+    std::size_t charged_bytes = 0;  ///< charged to "scan.validation_cache"
+  };
+
   /// What one probe's pure (order-independent) work produced: the fetch
-  /// result plus, when validation is on, the time-checked verdict.
+  /// result without its body and headers plus, when validation is on, the
+  /// time-checked verdict and whether the target's memo already held the
+  /// body.
   struct ProbeOutcome {
     net::FetchResult result;
     ocsp::VerifiedResponse verdict{};
     bool validated = false;
-    std::vector<lint::Finding> findings;
-    bool linted = false;
+    bool memo_hit = false;
+    std::shared_ptr<const std::vector<lint::Finding>> findings;
   };
 
   // The fan-out is two-phase so output is independent of thread count:
@@ -219,47 +228,31 @@ class HourlyScanner {
   // accumulate_probe then replays every order-SENSITIVE effect (stat
   // accumulators with float sums, metrics, trace events) on the
   // coordinating thread, walking the slots in canonical order. One thread
-  // and N threads run the exact same two phases.
-  ProbeOutcome execute_probe(const Target& target, net::Region region,
+  // and N threads run the exact same two phases. A target's probes of one
+  // step all run on one worker, in region order, so its memo entry has one
+  // writer at a time.
+  ProbeOutcome execute_probe(std::size_t target_index, net::Region region,
                              std::uint64_t ordinal);
-  /// Order-free lint of a successful probe's body (cached per body+serial);
-  /// runs in the parallel phase, findings accumulate in accumulate_probe.
-  void lint_probe(const Target& target, ProbeOutcome& outcome);
+  /// Verifies (and lints, when on) a body the target's memo does not hold,
+  /// and makes it the memo's body.
+  void check_body(const Target& target, CheckMemo& memo, util::Bytes body);
   void accumulate_probe(const Target& target, net::Region region,
                         const ProbeOutcome& outcome, StepTotals& totals);
 
   Ecosystem* ecosystem_;
   ScanConfig config_;
   std::vector<Target> targets_;
+  /// Parallel to targets_; empty when validation is off.
+  std::vector<CheckMemo> memo_;
   std::vector<ResponderRegionStats> stats_;
   std::vector<StepTotals> steps_;
   // Step-local (responder x region) tallies for the Fig 4 impact series.
   std::vector<std::size_t> step_requests_;
   std::vector<std::size_t> step_successes_;
-  // Cache of the time-invariant validation, keyed by (responder, body
-  // hash): pre-generated responders re-serve identical DER for a whole
-  // update cycle, so most probes hit. Lock-striped (util::ShardedCache) so
-  // parallel workers only contend when their keys land on the same shard;
-  // bounded by per-shard clearing. The 64-bit key alone is not proof of
-  // identity — each entry also stores the body's size and SHA-256, verified
-  // on every hit; a mismatch counts as
-  // mustaple_scan_cache_collisions_total and re-verifies honestly.
-  struct StaticCacheEntry {
-    std::size_t body_size = 0;
-    util::Bytes body_sha256;
-    ocsp::VerifiedResponse verdict{};
-  };
-  util::ShardedCache<StaticCacheEntry> static_cache_;
-  // Lint findings are clock-free, so they cache under the same discipline.
-  // The key folds in the requested serial (the serial-mismatch rule depends
-  // on it); hits verify body size + SHA-256 + serial before reuse.
-  struct LintCacheEntry {
-    std::size_t body_size = 0;
-    util::Bytes body_sha256;
-    util::Bytes serial;
-    std::vector<lint::Finding> findings;
-  };
-  util::ShardedCache<LintCacheEntry> lint_cache_;
+  // Check-memo hits and misses: written by the coordinating thread, read
+  // by health checks mid-campaign, hence relaxed atomics.
+  std::atomic<std::uint64_t> memo_hits_{0};
+  std::atomic<std::uint64_t> memo_misses_{0};
   lint::LintReport lint_report_;
   // Trace identity: each scan step gets a trace id, each probe a
   // campaign-wide ordinal. The ordinal also keys the counter-based latency
@@ -274,6 +267,9 @@ class HourlyScanner {
   /// CertIDs and prepared requests) under the "scan.targets" counter;
   /// released on destruction.
   util::AllocTally targets_tally_;
+  /// Charged by workers as they replace memo entries, so it is the counter
+  /// itself rather than a tally; the destructor releases what is resident.
+  util::AllocCounter* memo_counter_;
 };
 
 }  // namespace mustaple::measurement

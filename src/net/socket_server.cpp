@@ -578,8 +578,7 @@ WireHandler ResponseCache::wrap(WireHandler inner,
     key = util::hash_combine(key, util::fnv1a64(request.body));
     key = util::hash_combine(key, now_epoch);
     if (auto hit = cache_.lookup(key)) {
-      // Verify full identity, not just the 64-bit key — same collision
-      // discipline as the scanner caches.
+      // Verify full identity, not just the 64-bit key.
       if (hit->method == request.method && hit->path == request.path &&
           hit->body == request.body && hit->epoch == now_epoch) {
         return hit->response;

@@ -160,8 +160,8 @@ class SocketServer {
 /// responder's pre-generation cycle — to the complete HttpResponse, skipping
 /// percent/base64/DER decode and the responder's cache mutex on repeat
 /// requests. Hits are verified against the stored request (full compare,
-/// not just the 64-bit key), mirroring the scanner caches' collision
-/// discipline; a mismatch recomputes and counts via note_collision.
+/// not just the 64-bit key); a mismatch recomputes and counts via
+/// note_collision.
 ///
 /// Only sound in front of handlers that are pure functions of
 /// (request, epoch) — the pre-generated OCSP responder and the CRL server

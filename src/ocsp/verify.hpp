@@ -76,9 +76,10 @@ VerifiedResponse verify_ocsp_response(const util::Bytes& raw_body,
 
 /// The time-invariant part of validation: parse, serial match, signature.
 /// The returned value's `outcome` is kOk when only the clock-dependent
-/// checks remain. Cacheable by (responder, body bytes): the hourly scanner
-/// exploits the fact that pre-generated responders re-serve identical DER
-/// for a whole update cycle.
+/// checks remain. Cacheable by (body, requested CertID, issuer key): the
+/// hourly scanner keeps each target's last result and reuses it while the
+/// target's responder re-serves identical DER, as pre-generated responders
+/// do for a whole update cycle.
 VerifiedResponse verify_ocsp_response_static(
     const util::Bytes& raw_body, const CertId& requested,
     const crypto::PublicKey& issuer_key,

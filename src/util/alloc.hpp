@@ -12,7 +12,7 @@
 //    allocate/deallocate to an AllocCounter. A null counter makes it a
 //    plain std::allocator, so containers can be typed for counting and
 //    wired up only where a subsystem opts in.
-//  * a process-wide named registry (alloc_counter("scan.validation_cache"))
+//  * a process-wide named registry (alloc_counter("scan.targets"))
 //    so subsystems tally under stable names and exporters (ResourceMonitor,
 //    mustaple_bench, /statusz) can walk every subsystem generically.
 //
@@ -99,7 +99,7 @@ class AllocCounter {
 /// Process-wide named counter. The reference stays valid forever (counters
 /// are never destroyed); repeated calls with the same name return the same
 /// cell. Names follow the subsystem convention used by metrics labels:
-/// "scan.validation_cache", "ecosystem.certs", "ca.response_cache", ...
+/// "scan.targets", "scan.validation_cache", "ca.response_cache", ...
 AllocCounter& alloc_counter(const std::string& name);
 
 /// Read-only walk over every registered counter, in name order (so exports

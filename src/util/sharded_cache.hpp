@@ -1,32 +1,27 @@
-// Lock-striped hash cache for the scanner's parallel fan-out.
+// Lock-striped hash cache for handlers that many threads call at once; its
+// user is net::ResponseCache, in front of SocketServer's worker threads.
 //
-// One global mutex around a cache turns the probe fan-out into a convoy at
-// higher thread counts: every worker serializes on the same lock even though
-// nearly all lookups touch distinct keys. ShardedCache splits the key space
-// over a power-of-two number of independently locked shards (shard = key &
-// mask — keys here are already splitmix64-mixed, see util/hash.hpp, so the
-// low bits are well distributed). Workers contend only when they land on the
-// same shard.
+// One global mutex around a cache turns concurrent callers into a convoy:
+// every worker serializes on the same lock even though nearly all lookups
+// touch distinct keys. ShardedCache splits the key space over a
+// power-of-two number of independently locked shards (shard = key & mask —
+// keys are expected to be mixed already, see util/hash.hpp, so the low bits
+// are well distributed). Workers contend only when they land on the same
+// shard.
 //
-// Semantics match the single-map caches it replaces:
-//  - values are copied out on hit (entries stay verifiable: the caller
-//    re-checks body size/SHA-256 and counts a mismatch via note_collision);
-//  - each shard clears itself when it grows past capacity/shard_count,
-//    preserving the old clear-on-limit bound;
-//  - the cache only avoids recomputation of pure functions, so sharding can
-//    never change campaign outputs (DESIGN.md "Deterministic parallel scan
-//    campaigns").
+// Semantics:
+//  - values are copied out on hit, so the caller can verify the entry's
+//    identity against its full key material and count a mismatch via
+//    note_collision;
+//  - each shard clears itself when it grows past capacity/shard_count;
+//  - the cache only avoids recomputing pure functions, so sharding changes
+//    no result.
 //
 // Stats discipline: every lookup() increments exactly one of hits/misses,
 // so for each shard — and for any sum over shards — hits + misses ==
 // lookups. That conservation law is thread-count-invariant (asserted in
 // tests) even though the individual hit/miss split is not: two workers can
 // both miss the same key before either inserts.
-// Allocation accounting: an optional AllocCounter charges every map-node
-// allocation (and credits every free, including clear-on-limit resets), so
-// campaigns can report bytes-outstanding per cache via the obs resource
-// pillar. Payload-internal buffers (a Value's own heap) are not traversed —
-// the counter tracks the cache structure itself.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/alloc.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -57,17 +51,14 @@ class ShardedCache {
  public:
   /// `shard_count` is rounded up to a power of two (minimum 1). `capacity`
   /// bounds the TOTAL entry count: each shard clears itself upon exceeding
-  /// capacity / shard_count entries. `counter`, when given, is charged for
-  /// every node the shard maps allocate (must outlive the cache; the
-  /// process-lifetime cells from util::alloc_counter qualify).
-  explicit ShardedCache(std::size_t shard_count, std::size_t capacity,
-                        AllocCounter* counter = nullptr)
+  /// capacity / shard_count entries.
+  explicit ShardedCache(std::size_t shard_count, std::size_t capacity)
       : mask_(round_up_pow2(shard_count) - 1),
         shard_capacity_(capacity / (mask_ + 1)) {
     if (shard_capacity_ == 0) shard_capacity_ = 1;
     shards_.reserve(mask_ + 1);
     for (std::size_t i = 0; i <= mask_; ++i) {
-      shards_.push_back(std::make_unique<Shard>(counter));
+      shards_.push_back(std::make_unique<Shard>());
     }
   }
 
@@ -139,21 +130,12 @@ class ShardedCache {
   std::size_t size() const { return totals().size; }
 
  private:
-  using MapAllocator =
-      CountingAllocator<std::pair<const std::uint64_t, Value>>;
-  using Map =
-      std::unordered_map<std::uint64_t, Value, std::hash<std::uint64_t>,
-                         std::equal_to<std::uint64_t>, MapAllocator>;
-
   // Individually heap-allocated (shards hold a mutex, so they cannot live
   // in a resizable vector directly) and cache-line aligned so adjacent
   // shards' mutexes do not false-share.
   struct alignas(64) Shard {
-    explicit Shard(AllocCounter* counter)
-        : map(/*bucket_count=*/0, typename Map::hasher(),
-              typename Map::key_equal(), MapAllocator(counter)) {}
     mutable Mutex mu;
-    Map map MUSTAPLE_GUARDED_BY(mu);
+    std::unordered_map<std::uint64_t, Value> map MUSTAPLE_GUARDED_BY(mu);
     ShardedCacheStats stats MUSTAPLE_GUARDED_BY(mu);
   };
 

@@ -1,6 +1,6 @@
 // A small persistent worker pool for barrier-style index fan-out. The
-// hourly scanner's per-step probe fan-out runs thousands of independent
-// probes per simulated step across hundreds-to-thousands of steps; spawning
+// hourly scanner's per-step fan-out runs thousands of independent scan
+// targets per simulated step across hundreds-to-thousands of steps; spawning
 // threads per step would dominate small steps, so the pool keeps its
 // workers parked on a condition variable between jobs.
 //
@@ -29,7 +29,7 @@ class ThreadPool {
  public:
   /// Indices per chunk: large enough to amortize the atomic cursor (and a
   /// caller's per-chunk bookkeeping), small enough to balance uneven
-  /// per-index cost (e.g. cache-miss probes that re-verify).
+  /// per-index cost (e.g. scan targets whose changed bodies re-verify).
   static constexpr std::size_t kChunk = 16;
 
   /// Spawns `threads - 1` workers; the caller's thread participates in

@@ -1,9 +1,9 @@
 // Allocation budget for a simulated scan probe. Every replaceable global
 // operator new/delete form is defined here and forwards to malloc/free, so
 // the sanitizer runtimes still see (and check) every block; a relaxed
-// atomic counts the news. The budget catches per-probe work that creeps
-// back onto the fan-out path, such as an HTTP serialize-and-reparse or a
-// routing key string built for every probe.
+// atomic counts the news. The budgets catch per-probe work that creeps
+// back onto the fan-out path, such as an HTTP serialize-and-reparse, a
+// routing key string or a body digest built for every probe.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,6 +130,41 @@ TEST(AllocBudget, SimulatedProbeStaysUnderBudget) {
   std::printf("allocations per probe: %.1f over %llu probes\n", per_probe,
               static_cast<unsigned long long>(probes));
   EXPECT_LE(per_probe, kMaxAllocationsPerProbe);
+}
+
+// A validated, linted probe allocated 39.8 times while it hashed its body
+// for two shared caches; comparing the body with the last one its target
+// returned, and checking only a changed body, brings that to about 35, at
+// one and at four scan threads.
+constexpr double kMaxAllocationsPerValidatedProbe = 37.0;
+
+TEST(AllocBudget, ValidatedProbeStaysUnderBudget) {
+  EcosystemConfig config;
+  config.seed = 2018;
+  config.responder_count = 64;
+  config.alexa_domains = 5000;
+  config.certs_per_responder = 4;
+  net::EventLoop loop(config.campaign_start - util::Duration::days(1));
+  Ecosystem ecosystem(config, loop);
+  ScanConfig scan;
+  scan.interval = util::Duration::hours(6);
+  scan.max_steps = 6;
+  scan.threads = 1;
+  HourlyScanner scanner(ecosystem, scan);
+
+  const std::uint64_t before = g_allocations.load();
+  scanner.run();
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  const std::uint64_t probes = scanner.progress().probes_done;
+  ASSERT_GT(probes, 0u);
+  ASSERT_GT(scanner.validation_cache_stats().lookups, probes / 2);
+  const double per_probe =
+      static_cast<double>(allocations) / static_cast<double>(probes);
+  RecordProperty("allocations_per_validated_probe", std::to_string(per_probe));
+  std::printf("allocations per validated probe: %.1f over %llu probes\n",
+              per_probe, static_cast<unsigned long long>(probes));
+  EXPECT_LE(per_probe, kMaxAllocationsPerValidatedProbe);
 }
 
 }  // namespace

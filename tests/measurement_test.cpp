@@ -2,6 +2,7 @@
 // consistency audit, and the end-to-end MustStapleStudy façade.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string_view>
@@ -338,12 +339,9 @@ struct CampaignSummary {
   // Named allocation counters that had freed more bytes than they allocated
   // when the run ended; conservation says there are none.
   std::vector<std::string> overfreed_alloc_counters;
-  // Sharded-cache introspection (conservation sanity, not output equality:
-  // the hit/miss split is the one legitimately scheduling-dependent number).
+  // Check-memo statistics: lookups and the hit/miss split.
   util::ShardedCacheStats validation_totals;
-  std::vector<util::ShardedCacheStats> validation_shards;
   util::ShardedCacheStats lint_totals;
-  std::vector<util::ShardedCacheStats> lint_shards;
 };
 
 // Renumbers each "trace":N of a rendered Chrome trace by first appearance.
@@ -423,42 +421,19 @@ CampaignSummary run_campaign(std::size_t threads) {
   summary.timeline_csv = timeline.render_csv();
   summary.lint_json = scanner.lint_report().render_json();
   summary.validation_totals = scanner.validation_cache_stats();
-  for (std::size_t s = 0; s < scanner.validation_cache_shards(); ++s) {
-    summary.validation_shards.push_back(scanner.validation_cache_shard_stats(s));
-  }
   summary.lint_totals = scanner.lint_cache_stats();
-  for (std::size_t s = 0; s < scanner.lint_cache_shards(); ++s) {
-    summary.lint_shards.push_back(scanner.lint_cache_shard_stats(s));
-  }
   return summary;
 }
 
-// Conservation laws that hold at EVERY thread count: hits + misses account
-// for every lookup, per shard and in aggregate, and the aggregate is exactly
-// the sum over shards. (The hit/miss split itself may differ between runs —
-// two workers can both miss the same key before either inserts — which is
-// why it is checked for conservation here rather than equality above.)
-void expect_cache_conservation(const util::ShardedCacheStats& totals,
-                               const std::vector<util::ShardedCacheStats>& shards) {
-  util::ShardedCacheStats sum;
-  for (const auto& s : shards) {
-    EXPECT_EQ(s.hits + s.misses, s.lookups);
-    sum.lookups += s.lookups;
-    sum.hits += s.hits;
-    sum.misses += s.misses;
-    sum.insertions += s.insertions;
-    sum.collisions += s.collisions;
-    sum.clears += s.clears;
-    sum.size += s.size;
-  }
-  EXPECT_EQ(totals.hits + totals.misses, totals.lookups);
-  EXPECT_EQ(sum.lookups, totals.lookups);
-  EXPECT_EQ(sum.hits, totals.hits);
-  EXPECT_EQ(sum.misses, totals.misses);
-  EXPECT_EQ(sum.insertions, totals.insertions);
-  EXPECT_EQ(sum.collisions, totals.collisions);
-  EXPECT_EQ(sum.clears, totals.clears);
-  EXPECT_EQ(sum.size, totals.size);
+// Every lookup is exactly one hit or one miss, and the whole split is a
+// campaign output: each target's probes of a step run in region order on
+// one worker, so the same bodies hit and miss at every thread count.
+void expect_check_counts_identical(const util::ShardedCacheStats& a,
+                                   const util::ShardedCacheStats& b) {
+  EXPECT_EQ(a.hits + a.misses, a.lookups);
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
 }
 
 void expect_online_stats_identical(const util::OnlineStats& a,
@@ -554,15 +529,14 @@ TEST(ScannerThreading, OneTwoFourThreadsBitIdentical) {
   expect_campaigns_identical(one, four);
   expect_campaigns_identical(two, four);
   for (const CampaignSummary* run : {&one, &two, &four}) {
-    expect_cache_conservation(run->validation_totals, run->validation_shards);
-    expect_cache_conservation(run->lint_totals, run->lint_shards);
-    // Lookup COUNTS are deterministic (one lookup per validated probe /
-    // per linted body) even though the hit/miss split is not.
-    EXPECT_EQ(run->validation_totals.lookups, one.validation_totals.lookups);
-    EXPECT_EQ(run->lint_totals.lookups, one.lint_totals.lookups);
+    expect_check_counts_identical(run->validation_totals,
+                                  one.validation_totals);
+    expect_check_counts_identical(run->lint_totals, one.lint_totals);
     EXPECT_TRUE(run->overfreed_alloc_counters.empty())
         << run->overfreed_alloc_counters.front();
   }
+  EXPECT_GT(one.validation_totals.hits, 0u);
+  EXPECT_GT(one.validation_totals.misses, 0u);
 #if MUSTAPLE_OBS_ENABLED
   // The trace comparison is not vacuous: the fetch spans are in it.
   EXPECT_NE(one.trace_json.find("\"cat\":\"net\""), std::string::npos);
@@ -618,6 +592,159 @@ TEST(ScannerThreading, ExplicitThreadCountBeatsEnvironment) {
     ::unsetenv("MUSTAPLE_SCAN_THREADS");
   }
   EXPECT_EQ(scanner.steps().size(), 1u);
+}
+
+// ------------------------------------------------------------ check memo --
+
+// A one-thread toy campaign with every responder service wrapped to record
+// the HTTP-200 bodies it sends, keyed by the OCSPRequest DER that asked for
+// them (one per scan target). One responder answers tryLater during the
+// second of three steps; its stats and lint findings are snapshotted after
+// each step.
+struct MemoCampaign {
+  std::uint64_t bodies_200 = 0;
+  // One per target per position in its sequence of 200-bodies where the
+  // body differs from the previous one (the first body included).
+  std::uint64_t body_changes = 0;
+  util::ShardedCacheStats validation;
+  util::ShardedCacheStats lint;
+  std::size_t flipped = SIZE_MAX;  ///< the responder switched to tryLater
+  // The flipped responder's HTTP-200s, kOk verdicts and not-successful
+  // lint findings, cumulative after each step, summed over regions.
+  std::vector<std::size_t> successes;
+  std::vector<std::size_t> usable;
+  std::vector<std::size_t> not_successful;
+  std::uint64_t findings_dropped = 0;
+};
+
+MemoCampaign run_memo_campaign() {
+  EcosystemConfig config;
+  config.seed = 2018;
+  config.responder_count = 64;
+  config.alexa_domains = 2000;
+  config.certs_per_responder = 2;
+  net::EventLoop loop(config.campaign_start - Duration::days(1));
+  Ecosystem ecosystem(config, loop);
+
+  std::map<util::Bytes, std::vector<util::Bytes>> bodies;
+  for (std::size_t i = 0; i < ecosystem.responders().size(); ++i) {
+    ca::OcspResponder* responder = &ecosystem.responder(i);
+    auto recording = [responder, &bodies](const net::HttpRequest& request,
+                                          util::SimTime now,
+                                          net::Region from) {
+      net::HttpResponse response = responder->handle(request, now, from);
+      if (response.status_code == 200) {
+        bodies[request.body].push_back(response.body);
+      }
+      return response;
+    };
+    // OcspResponder::install binds ports 80 and 443; replace both.
+    const std::string& host = ecosystem.responders()[i].host;
+    ecosystem.network().register_service(host, 80, recording);
+    ecosystem.network().register_service(host, 443, recording);
+  }
+
+  ScanConfig scan;
+  scan.interval = Duration::hours(6);
+  scan.max_steps = 3;
+  scan.threads = 1;
+  HourlyScanner scanner(ecosystem, scan);
+
+  MemoCampaign out;
+  const auto snapshot = [&] {
+    std::size_t successes = 0;
+    std::size_t usable = 0;
+    for (net::Region region : net::all_regions()) {
+      successes += scanner.stats(out.flipped, region).http_successes;
+      usable += scanner.stats(out.flipped, region).usable_responses;
+    }
+    const std::string& host = ecosystem.responders()[out.flipped].host;
+    std::size_t not_successful = 0;
+    for (const lint::Finding& finding : scanner.lint_report().findings()) {
+      not_successful += finding.rule_id == "i_ocsp_not_successful" &&
+                        finding.artifact == host;
+    }
+    out.successes.push_back(successes);
+    out.usable.push_back(usable);
+    out.not_successful.push_back(not_successful);
+  };
+  // Events just before steps 1 and 2 run on the scanning thread, after the
+  // previous step has been accumulated. The first picks a responder that is
+  // its own canonical name and whose every step-0 probe was usable.
+  const util::SimTime start = config.campaign_start;
+  loop.schedule_at(start + Duration::hours(6) - Duration::minutes(1), [&] {
+    for (std::size_t r = 0; r < scanner.responder_count(); ++r) {
+      const std::string& host = ecosystem.responders()[r].host;
+      if (ecosystem.network().dns().canonical_name(host) != host) continue;
+      std::size_t requests = 0;
+      bool all_usable = true;
+      for (net::Region region : net::all_regions()) {
+        const ResponderRegionStats& stats = scanner.stats(r, region);
+        requests += stats.requests;
+        all_usable = all_usable && stats.usable_responses == stats.requests;
+      }
+      if (requests > 0 && all_usable) {
+        out.flipped = r;
+        break;
+      }
+    }
+    if (out.flipped == SIZE_MAX) return;
+    snapshot();
+    ecosystem.responder(out.flipped).set_try_later(true);
+  });
+  loop.schedule_at(start + Duration::hours(12) - Duration::minutes(1), [&] {
+    if (out.flipped == SIZE_MAX) return;
+    snapshot();
+    ecosystem.responder(out.flipped).set_try_later(false);
+  });
+  scanner.run();
+  if (out.flipped != SIZE_MAX) snapshot();
+
+  for (const auto& [request, seen] : bodies) {
+    out.bodies_200 += seen.size();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      if (i == 0 || seen[i] != seen[i - 1]) ++out.body_changes;
+    }
+  }
+  out.validation = scanner.validation_cache_stats();
+  out.lint = scanner.lint_cache_stats();
+  out.findings_dropped = scanner.lint_report().dropped();
+  return out;
+}
+
+// A probe is checked again exactly when its target's body differs from the
+// last one the target returned: a body another target also received, or
+// one this target returned earlier, is no reason to skip the check.
+TEST(ScannerCheckMemo, MissesAreEachTargetsBodyChanges) {
+  const MemoCampaign run = run_memo_campaign();
+  EXPECT_EQ(run.validation.lookups, run.bodies_200);
+  EXPECT_EQ(run.validation.misses, run.body_changes);
+  EXPECT_GT(run.validation.hits, 0u);
+  // Lint is on, so every validated body is linted, from the same memo.
+  EXPECT_EQ(run.lint.lookups, run.validation.lookups);
+  EXPECT_EQ(run.lint.misses, run.validation.misses);
+}
+
+// kOk -> kNotSuccessful -> kOk: the tryLater body and the good body that
+// follows it are both re-checked, so no verdict outlives its body.
+TEST(ScannerCheckMemo, TryLaterForOneStepFlipsVerdictsAndBack) {
+  const MemoCampaign run = run_memo_campaign();
+  ASSERT_NE(run.flipped, SIZE_MAX) << "no responder usable at step 0";
+  ASSERT_EQ(run.successes.size(), 3u);
+  ASSERT_EQ(run.findings_dropped, 0u);
+  const auto step = [](const std::vector<std::size_t>& cumulative,
+                       std::size_t k) {
+    return cumulative[k] - (k == 0 ? 0 : cumulative[k - 1]);
+  };
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_GT(step(run.successes, k), 0u) << "step " << k;
+  }
+  EXPECT_EQ(step(run.usable, 0), step(run.successes, 0));
+  EXPECT_EQ(step(run.not_successful, 0), 0u);
+  EXPECT_EQ(step(run.usable, 1), 0u);
+  EXPECT_EQ(step(run.not_successful, 1), step(run.successes, 1));
+  EXPECT_EQ(step(run.usable, 2), step(run.successes, 2));
+  EXPECT_EQ(step(run.not_successful, 2), 0u);
 }
 
 // ------------------------------------------------------------- alexa scan --
