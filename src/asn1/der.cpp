@@ -110,11 +110,11 @@ void Writer::integer(std::int64_t v) {
   signed_integer(static_cast<std::uint8_t>(Tag::kInteger), v);
 }
 
-void Writer::integer_bytes(const Bytes& magnitude) {
+void Writer::integer_bytes(util::BytesView magnitude) {
   // Strip redundant leading zeros; an empty magnitude encodes zero.
   std::size_t skip = 0;
   while (skip + 1 < magnitude.size() && magnitude[skip] == 0) ++skip;
-  const util::BytesView digits = util::BytesView(magnitude).drop_front(skip);
+  const util::BytesView digits = magnitude.drop_front(skip);
   // Non-negative: prepend 0x00 if the high bit would read as a sign.
   const bool pad = digits.empty() || (digits[0] & 0x80) != 0;
   header(static_cast<std::uint8_t>(Tag::kInteger), digits.size() + (pad ? 1 : 0));
@@ -132,11 +132,11 @@ void Writer::oid(const Oid& o) {
   close(content);
 }
 
-void Writer::octet_string(const Bytes& content) {
+void Writer::octet_string(util::BytesView content) {
   tlv(static_cast<std::uint8_t>(Tag::kOctetString), content);
 }
 
-void Writer::bit_string(const Bytes& content, unsigned unused_bits) {
+void Writer::bit_string(util::BytesView content, unsigned unused_bits) {
   header(static_cast<std::uint8_t>(Tag::kBitString), content.size() + 1);
   out_.push_back(static_cast<std::uint8_t>(unused_bits & 0x07));
   util::append(out_, content);

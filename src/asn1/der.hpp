@@ -50,6 +50,9 @@ std::uint8_t context_tag(unsigned n, bool constructed);
 class Writer {
  public:
   const util::Bytes& bytes() const { return out_; }
+  /// Reserves room for `bytes` of output, so a writer that knows roughly
+  /// how much it will write grows its buffer once.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
   /// Moves the encoding out with its capacity trimmed to its size, so
   /// retained DER (certificates, cached responses) holds no growth slack.
   util::Bytes take();
@@ -59,12 +62,23 @@ class Writer {
   void integer(std::int64_t v);
   /// INTEGER from unsigned big-endian magnitude (adds a leading 0x00 when the
   /// high bit is set, strips redundant leading zeros). Used for serial
-  /// numbers and RSA parameters.
-  void integer_bytes(const util::Bytes& magnitude);
+  /// numbers and RSA parameters. Like tlv(), the primitives that take
+  /// content octets have a view overload that does the work and a const-ref
+  /// one that keeps temporaries legal.
+  void integer_bytes(util::BytesView magnitude);
+  void integer_bytes(const util::Bytes& magnitude) {
+    integer_bytes(util::BytesView(magnitude));
+  }
   void null();
   void oid(const Oid& oid);
-  void octet_string(const util::Bytes& content);
-  void bit_string(const util::Bytes& content, unsigned unused_bits = 0);
+  void octet_string(util::BytesView content);
+  void octet_string(const util::Bytes& content) {
+    octet_string(util::BytesView(content));
+  }
+  void bit_string(util::BytesView content, unsigned unused_bits = 0);
+  void bit_string(const util::Bytes& content, unsigned unused_bits = 0) {
+    bit_string(util::BytesView(content), unused_bits);
+  }
   void utf8_string(const std::string& text);
   void printable_string(const std::string& text);
   void ia5_string(const std::string& text);

@@ -52,7 +52,7 @@ CertificateAuthority::CertificateAuthority(std::string name,
   next_serial_ = 3;
   // The intermediate itself is a certificate this CA can answer for —
   // needed by RFC 6961 multi-staple clients checking the whole chain.
-  issued_.insert(intermediate_cert_.serial_hex());
+  issued_.insert(intermediate_cert_.serial());
 }
 
 x509::Certificate CertificateAuthority::issue(const LeafRequest& request,
@@ -62,14 +62,14 @@ x509::Certificate CertificateAuthority::issue(const LeafRequest& request,
       .subject(x509::DistinguishedName{request.domain, "", ""})
       .issuer(intermediate_cert_.subject())
       .validity(request.not_before, request.not_before + request.lifetime)
-      .public_key(crypto::KeyPair::generate_sim(rng).public_key())
+      .public_key(crypto::PublicKey::generate_sim(rng))
       .must_staple(request.must_staple)
       .add_san(request.domain);
   for (const auto& url : request.ocsp_urls) builder.add_ocsp_url(url);
   for (const auto& url : request.crl_urls) builder.add_crl_url(url);
   for (const auto& san : request.extra_sans) builder.add_san(san);
   x509::Certificate leaf = builder.sign(intermediate_key_);
-  issued_.insert(leaf.serial_hex());
+  issued_.insert(leaf.serial());
   return leaf;
 }
 
@@ -82,36 +82,34 @@ void CertificateAuthority::revoke(const util::Bytes& serial,
                                   util::SimTime when,
                                   std::optional<crl::ReasonCode> reason,
                                   const RevocationPolicy& policy) {
-  const std::string key = util::to_hex(serial);
-  crl_db_[key] = RevocationRecord{when, reason};
+  crl_db_[serial] = RevocationRecord{when, reason};
 
   switch (policy.ocsp_ingest) {
     case RevocationPolicy::OcspIngest::kNormal: {
       RevocationRecord ocsp_record;
       ocsp_record.revocation_time = when + policy.ocsp_time_offset;
       ocsp_record.reason = policy.ocsp_drops_reason ? std::nullopt : reason;
-      ocsp_db_[key] = ocsp_record;
+      ocsp_db_[serial] = ocsp_record;
       break;
     }
     case RevocationPolicy::OcspIngest::kMissingAnswersGood:
-      ocsp_ingest_failures_[key] = ocsp::CertStatus::kGood;
+      ocsp_ingest_failures_[serial] = ocsp::CertStatus::kGood;
       break;
     case RevocationPolicy::OcspIngest::kMissingAnswersUnknown:
-      ocsp_ingest_failures_[key] = ocsp::CertStatus::kUnknown;
+      ocsp_ingest_failures_[serial] = ocsp::CertStatus::kUnknown;
       break;
   }
 }
 
 bool CertificateAuthority::was_issued(const util::Bytes& serial) const {
-  return issued_.count(util::to_hex(serial)) > 0;
+  return issued_.count(serial) > 0;
 }
 
 ocsp::CertStatus CertificateAuthority::ocsp_status(
-    const util::Bytes& serial, ocsp::RevokedInfo* revoked_out) const {
-  const std::string key = util::to_hex(serial);
-  const auto failure = ocsp_ingest_failures_.find(key);
+    util::BytesView serial, ocsp::RevokedInfo* revoked_out) const {
+  const auto failure = ocsp_ingest_failures_.find(serial);
   if (failure != ocsp_ingest_failures_.end()) return failure->second;
-  const auto it = ocsp_db_.find(key);
+  const auto it = ocsp_db_.find(serial);
   if (it != ocsp_db_.end()) {
     if (revoked_out != nullptr) {
       revoked_out->revocation_time = it->second.revocation_time;
@@ -119,13 +117,13 @@ ocsp::CertStatus CertificateAuthority::ocsp_status(
     }
     return ocsp::CertStatus::kRevoked;
   }
-  if (issued_.count(key) > 0) return ocsp::CertStatus::kGood;
+  if (issued_.count(serial) > 0) return ocsp::CertStatus::kGood;
   return ocsp::CertStatus::kUnknown;
 }
 
 const RevocationRecord* CertificateAuthority::crl_record(
     const util::Bytes& serial) const {
-  const auto it = crl_db_.find(util::to_hex(serial));
+  const auto it = crl_db_.find(serial);
   return it == crl_db_.end() ? nullptr : &it->second;
 }
 
@@ -135,9 +133,11 @@ crl::Crl CertificateAuthority::publish_crl(util::SimTime this_update,
   builder.issuer(intermediate_cert_.subject())
       .this_update(this_update)
       .next_update(this_update + validity);
-  for (const auto& [serial_hex, record] : crl_db_) {
-    builder.add_entry(crl::RevokedEntry{util::from_hex(serial_hex),
-                                        record.revocation_time, record.reason});
+  // Entries in ascending serial order (Bytes order, which is also the
+  // order of the serials' hex strings).
+  for (const auto& [serial, record] : crl_db_) {
+    builder.add_entry(
+        crl::RevokedEntry{serial, record.revocation_time, record.reason});
   }
   return builder.sign(intermediate_key_);
 }

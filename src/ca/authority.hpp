@@ -15,6 +15,7 @@
 #include "crl/crl.hpp"
 #include "crypto/signer.hpp"
 #include "ocsp/types.hpp"
+#include "util/bytes_view.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "x509/certificate.hpp"
@@ -82,9 +83,15 @@ class CertificateAuthority {
 
   bool was_issued(const util::Bytes& serial) const;
 
-  /// OCSP-database lookup (what the responder consults).
-  ocsp::CertStatus ocsp_status(const util::Bytes& serial,
+  /// OCSP-database lookup (what the responder consults). The view overload
+  /// takes a request's serial where it lies and builds no key; the const-ref
+  /// one keeps temporaries legal.
+  ocsp::CertStatus ocsp_status(util::BytesView serial,
                                ocsp::RevokedInfo* revoked_out) const;
+  ocsp::CertStatus ocsp_status(const util::Bytes& serial,
+                               ocsp::RevokedInfo* revoked_out) const {
+    return ocsp_status(util::BytesView(serial), revoked_out);
+  }
   /// CRL-database lookup.
   const RevocationRecord* crl_record(const util::Bytes& serial) const;
 
@@ -108,12 +115,14 @@ class CertificateAuthority {
   x509::Certificate intermediate_cert_;
   std::uint64_t next_serial_ = 1;
 
-  // serial (hex) -> record. Two independent databases, per the paper.
-  std::map<std::string, RevocationRecord> crl_db_;
-  std::map<std::string, RevocationRecord> ocsp_db_;
+  // serial -> record. Two independent databases, per the paper. Keyed by
+  // the serial's bytes in Bytes order, searchable by view.
+  std::map<util::Bytes, RevocationRecord, util::BytesLess> crl_db_;
+  std::map<util::Bytes, RevocationRecord, util::BytesLess> ocsp_db_;
   // Serials the OCSP ingest dropped, with the configured answer.
-  std::map<std::string, ocsp::CertStatus> ocsp_ingest_failures_;
-  std::set<std::string> issued_;
+  std::map<util::Bytes, ocsp::CertStatus, util::BytesLess>
+      ocsp_ingest_failures_;
+  std::set<util::Bytes, util::BytesLess> issued_;
 };
 
 }  // namespace mustaple::ca

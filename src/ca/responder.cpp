@@ -29,6 +29,11 @@ util::Bytes malformed_body(ResponderBehavior::Malform mode) {
   return {};
 }
 
+net::HttpResponse ocsp_answer(util::Bytes der) {
+  return net::HttpResponse::make(200, "OK", std::move(der),
+                                 "application/ocsp-response");
+}
+
 }  // namespace
 
 OcspResponder::OcspResponder(CertificateAuthority& authority,
@@ -73,6 +78,13 @@ OcspResponder::OcspResponder(CertificateAuthority& authority,
   }
   backend_seed_ = rng_.fork("backend-choice")
                       .uniform(std::numeric_limits<std::uint64_t>::max());
+  if (behavior_.bad_signature) {
+    // Sign with a key unrelated to the CA: the response stays well-formed
+    // but fails client-side signature validation (§5.3 "Incorrect
+    // signature"). rng_ is final here, so the key is fixed too.
+    util::Rng throwaway = rng_.fork("bad-signature");
+    bad_signature_key_ = crypto::KeyPair::generate_sim(throwaway);
+  }
 }
 
 void OcspResponder::set_try_later(bool value) {
@@ -139,7 +151,8 @@ net::HttpResponse OcspResponder::handle(const net::HttpRequest& request,
   // in scheduling order, and the network already records each fetch as a
   // span when the scanner replays it in canonical order (DESIGN.md §7).
   MUSTAPLE_COUNT("mustaple_ca_ocsp_requests_total");
-  if (request.method != "POST" && request.method != "GET") {
+  const bool post = request.method == "POST";
+  if (!post && request.method != "GET") {
     return net::HttpResponse::make(400, net::default_reason(400), {}, "");
   }
 
@@ -147,34 +160,34 @@ net::HttpResponse OcspResponder::handle(const net::HttpRequest& request,
     MUSTAPLE_COUNT("mustaple_ca_ocsp_malformed_served_total");
     // Still HTTP 200 — the paper's clients count these as "successful
     // requests" that later fail validation (§5.2 vs §5.3).
-    return net::HttpResponse::make(200, "OK", malformed_body(behavior_.malform),
-                                   "application/ocsp-response");
+    return ocsp_answer(malformed_body(behavior_.malform));
   }
 
   if (try_later()) {
-    const auto error =
-        ocsp::OcspResponseBuilder::error(ocsp::ResponseStatus::kTryLater);
-    return net::HttpResponse::make(200, "OK", error.encode_der(),
-                                   "application/ocsp-response");
+    return ocsp_answer(
+        ocsp::OcspResponseBuilder::error(ocsp::ResponseStatus::kTryLater)
+            .encode_der());
   }
 
+  const auto malformed_request = [] {
+    return ocsp_answer(ocsp::OcspResponseBuilder::error(
+                           ocsp::ResponseStatus::kMalformedRequest)
+                           .encode_der());
+  };
   // POST carries the DER body; GET carries base64 in the path (RFC 6960
-  // Appendix A.1).
-  auto parsed = request.method == "POST"
-                    ? ocsp::OcspRequest::parse(request.body)
-                    : ocsp::OcspRequest::parse_get_path(request.path);
-  if (!parsed.ok()) {
-    const auto error =
-        ocsp::OcspResponseBuilder::error(ocsp::ResponseStatus::kMalformedRequest);
-    return net::HttpResponse::make(200, "OK", error.encode_der(),
-                                   "application/ocsp-response");
+  // Appendix A.1), decoded into one buffer. Either way the request is read
+  // in place and answered from its views.
+  util::Bytes get_der;
+  if (!post) {
+    auto decoded = ocsp::decode_get_path(request.path);
+    if (!decoded.ok()) return malformed_request();
+    get_der = std::move(decoded).take();
   }
-
-  return net::HttpResponse::make(
-      200, "OK",
-      build_response_der(parsed.value().cert_ids().front(), now,
-                         parsed.value().nonce()),
-      "application/ocsp-response");
+  const auto parsed = ocsp::OcspRequestView::parse(
+      post ? util::BytesView(request.body) : util::BytesView(get_der));
+  if (!parsed.ok()) return malformed_request();
+  return ocsp_answer(
+      answer(parsed.value().first_cert_id(), now, parsed.value().nonce()));
 }
 
 net::WireHandler OcspResponder::wire_handler(
@@ -199,6 +212,13 @@ ocsp::OcspResponse OcspResponder::build_response(const ocsp::CertId& id,
 util::Bytes OcspResponder::build_response_der(
     const ocsp::CertId& id, util::SimTime now,
     const std::optional<util::Bytes>& nonce) {
+  return answer(id, now,
+                nonce ? std::optional<util::BytesView>(*nonce) : std::nullopt);
+}
+
+util::Bytes OcspResponder::answer(const ocsp::CertIdView& id,
+                                  util::SimTime now,
+                                  const std::optional<util::BytesView>& nonce) {
   // Which co-located backend answers is a pure function of (responder,
   // serial, time): load balancing still looks arbitrary across scans —
   // which is what produces the producedAt regressions — but does not
@@ -218,7 +238,7 @@ util::Bytes OcspResponder::build_response_der(
   return pregenerated_response(id, gen_time, backend);
 }
 
-util::Bytes OcspResponder::pregenerated_response(const ocsp::CertId& id,
+util::Bytes OcspResponder::pregenerated_response(const ocsp::CertIdView& id,
                                                  util::SimTime gen_time,
                                                  int backend) {
   const std::int64_t interval = behavior_.update_interval.seconds;
@@ -227,9 +247,15 @@ util::Bytes OcspResponder::pregenerated_response(const ocsp::CertId& id,
   // One signed encoding per (CertID, backend, cycle). The lock is held
   // across a miss's signing so concurrent probes never sign it twice.
   util::MutexLock lock(mu_);
-  auto& entries = cache_[id];
-  entries.resize(static_cast<std::size_t>(behavior_.backends));
-  CacheEntry& entry = entries[static_cast<std::size_t>(backend)];
+  auto it = cache_.find(id);
+  if (it == cache_.end()) {
+    it = cache_
+             .emplace(id.to_cert_id(),
+                      std::vector<CacheEntry>(
+                          static_cast<std::size_t>(behavior_.backends)))
+             .first;
+  }
+  CacheEntry& entry = it->second[static_cast<std::size_t>(backend)];
   if (entry.cycle == cycle && !entry.der.empty()) {
     MUSTAPLE_COUNT("mustaple_ca_ocsp_cache_hits_total");
     return entry.der;
@@ -246,20 +272,12 @@ util::Bytes OcspResponder::pregenerated_response(const ocsp::CertId& id,
 }
 
 util::Bytes OcspResponder::sign_response(
-    const ocsp::CertId& id, util::SimTime gen_time,
-    const std::optional<util::Bytes>& nonce) const {
+    const ocsp::CertIdView& id, util::SimTime gen_time,
+    const std::optional<util::BytesView>& nonce) const {
   const util::SimTime this_update = gen_time - behavior_.this_update_margin;
   std::optional<util::SimTime> next_update;
   if (behavior_.validity) next_update = this_update + *behavior_.validity;
 
-  ocsp::SingleResponse single;
-  single.cert_id = id;
-  if (behavior_.wrong_serial) {
-    // Flip the low byte so the serial no longer matches the request.
-    util::Bytes& mutated = single.cert_id.serial;
-    if (mutated.empty()) mutated.push_back(0);
-    mutated.back() ^= 0xff;
-  }
   // Requests naming a different issuer (wrong name/key hash) get Unknown:
   // "the certificate is not served by this responder" (§2.2).
   const bool root_issued = id.issuer_name_hash == root_name_hash_ &&
@@ -267,53 +285,83 @@ util::Bytes OcspResponder::sign_response(
   const bool issuer_matches = (id.issuer_name_hash == expected_name_hash_ &&
                                id.issuer_key_hash == expected_key_hash_) ||
                               root_issued;
+  ocsp::CertStatus status = ocsp::CertStatus::kUnknown;
+  std::optional<ocsp::RevokedInfo> revoked;
   if (issuer_matches) {
-    ocsp::RevokedInfo revoked;
-    single.status = authority_->ocsp_status(id.serial, &revoked);
-    if (single.status == ocsp::CertStatus::kRevoked) single.revoked = revoked;
-  } else {
-    single.status = ocsp::CertStatus::kUnknown;
-  }
-  single.this_update = this_update;
-  single.next_update = next_update;
-
-  ocsp::OcspResponseBuilder builder;
-  builder.produced_at(gen_time).add_single(std::move(single));
-  if (nonce) builder.nonce(*nonce);
-
-  // Unsolicited extra serials (Fig 7), each Good for the same window.
-  for (int i = 0; i < behavior_.extra_serials; ++i) {
-    ocsp::SingleResponse extra;
-    extra.cert_id = id;
-    extra.cert_id.serial.push_back(static_cast<std::uint8_t>(i + 1));
-    extra.this_update = this_update;
-    extra.next_update = next_update;
-    builder.add_single(std::move(extra));
+    ocsp::RevokedInfo info;
+    status = authority_->ocsp_status(id.serial, &info);
+    if (status == ocsp::CertStatus::kRevoked) revoked = info;
   }
 
-  // Certificates: delegation cert (if any) + superfluous extras (Fig 6).
-  // For a root-issued subject (the intermediate itself, RFC 6961 path) the
-  // response is signed by the intermediate key, so the intermediate cert is
-  // attached as the delegation certificate — clients verify it against the
-  // root and then the response against it.
-  if (root_issued) builder.add_cert(authority_->intermediate_cert());
-  if (delegate_cert_) builder.add_cert(*delegate_cert_);
-  for (int i = 0; i < behavior_.extra_certs; ++i) {
-    builder.add_cert(i % 2 == 0 ? authority_->intermediate_cert()
-                                : authority_->root_cert());
+  // The serials this answer names that the request does not: the requested
+  // one with its low byte flipped (wrong_serial), and the unsolicited extras
+  // (Fig 7), each the requested serial plus one byte.
+  util::Bytes wrong_serial;
+  if (behavior_.wrong_serial) {
+    wrong_serial = id.serial.to_bytes();
+    if (wrong_serial.empty()) wrong_serial.push_back(0);
+    wrong_serial.back() ^= 0xff;
+  }
+  util::Bytes extra_serial;
+  if (behavior_.extra_serials > 0) {
+    extra_serial.reserve(id.serial.size() + 1);
+    util::append(extra_serial, id.serial);
+    extra_serial.push_back(0);
   }
 
-  if (behavior_.bad_signature) {
-    // Sign with a key unrelated to the CA: the response stays well-formed
-    // but fails client-side signature validation (§5.3 "Incorrect
-    // signature").
-    util::Rng throwaway = rng_.fork("bad-signature");
-    return builder.sign(crypto::KeyPair::generate_sim(throwaway)).encode_der();
+  // Certificates: the intermediate for a root-issued subject (the
+  // intermediate itself, RFC 6961 path: the response is signed by the
+  // intermediate key, which clients verify against the root first), the
+  // delegation cert (if any), then superfluous extras (Fig 6).
+  const x509::Certificate& intermediate = authority_->intermediate_cert();
+  const bool has_certs =
+      root_issued || delegate_cert_ || behavior_.extra_certs > 0;
+  const crypto::KeyPair& key =
+      bad_signature_key_           ? *bad_signature_key_
+      : behavior_.delegate_signing ? delegate_key_
+                                   : authority_->intermediate_key();
+
+  asn1::Writer w;
+  w.reserve(answer_capacity_.load(std::memory_order_relaxed));
+  ocsp::encode_successful_response(
+      w,
+      [&](asn1::Writer& tbs) {
+        ocsp::encode_response_data(
+            tbs, gen_time,
+            [&](asn1::Writer& singles) {
+              ocsp::encode_single(
+                  singles,
+                  behavior_.wrong_serial
+                      ? ocsp::CertIdView(id.issuer_name_hash,
+                                         id.issuer_key_hash, wrong_serial)
+                      : id,
+                  status, revoked, this_update, next_update);
+              for (int i = 0; i < behavior_.extra_serials; ++i) {
+                extra_serial.back() = static_cast<std::uint8_t>(i + 1);
+                ocsp::encode_single(
+                    singles,
+                    ocsp::CertIdView(id.issuer_name_hash, id.issuer_key_hash,
+                                     extra_serial),
+                    ocsp::CertStatus::kGood, std::nullopt, this_update,
+                    next_update);
+              }
+            },
+            nonce);
+      },
+      key.algorithm(),
+      [&key](util::BytesView tbs_der) { return key.sign(tbs_der); },
+      has_certs,
+      [&](asn1::Writer& certs) {
+        if (root_issued) intermediate.encode(certs);
+        if (delegate_cert_) delegate_cert_->encode(certs);
+        for (int i = 0; i < behavior_.extra_certs; ++i) {
+          (i % 2 == 0 ? intermediate : authority_->root_cert()).encode(certs);
+        }
+      });
+  if (w.bytes().size() > answer_capacity_.load(std::memory_order_relaxed)) {
+    answer_capacity_.store(w.bytes().size(), std::memory_order_relaxed);
   }
-  return builder
-      .sign(behavior_.delegate_signing ? delegate_key_
-                                       : authority_->intermediate_key())
-      .encode_der();
+  return w.take();
 }
 
 }  // namespace mustaple::ca

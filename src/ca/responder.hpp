@@ -125,7 +125,7 @@ class OcspResponder {
   /// Builds (or serves from cache) the response for one CertID.
   ocsp::OcspResponse build_response(const ocsp::CertId& id, util::SimTime now);
 
-  /// Encoded form of build_response — the hot path used by handle(); serves
+  /// Encoded form of build_response — what handle() answers with; serves
   /// the cached encoding without a parse/re-encode round trip. A request
   /// nonce is echoed only by on-demand responders: pre-generated responses
   /// are cached and structurally cannot carry per-request nonces.
@@ -136,16 +136,20 @@ class OcspResponder {
  private:
   bool malform_active(util::SimTime now) const;
   util::SimTime generation_time(util::SimTime now, int backend) const;
+  /// build_response_der over views: handle() answers from the request's
+  /// own bytes.
+  util::Bytes answer(const ocsp::CertIdView& id, util::SimTime now,
+                     const std::optional<util::BytesView>& nonce);
   /// The pre-generated path: serves, or signs and caches, the encoding for
   /// (CertID, backend, cycle of `gen_time`) under mu_.
-  util::Bytes pregenerated_response(const ocsp::CertId& id,
+  util::Bytes pregenerated_response(const ocsp::CertIdView& id,
                                     util::SimTime gen_time, int backend);
-  /// Signs and encodes a fresh response. Reads the responder's
-  /// construction-time state and the CA's revocation database, never the
-  /// cache, so the on-demand path calls it without mu_ (the CA must not
-  /// change while responders serve; see the class comment).
-  util::Bytes sign_response(const ocsp::CertId& id, util::SimTime gen_time,
-                            const std::optional<util::Bytes>& nonce) const;
+  /// Writes and signs a fresh response in one asn1::Writer. Reads the
+  /// responder's construction-time state and the CA's revocation database,
+  /// never the cache, so the on-demand path calls it without mu_ (the CA
+  /// must not change while responders serve; see the class comment).
+  util::Bytes sign_response(const ocsp::CertIdView& id, util::SimTime gen_time,
+                            const std::optional<util::BytesView>& nonce) const;
 
   CertificateAuthority* authority_;
   ResponderBehavior behavior_;  ///< immutable after construction
@@ -164,6 +168,13 @@ class OcspResponder {
 
   crypto::KeyPair delegate_key_;
   std::optional<x509::Certificate> delegate_cert_;
+  /// The key a bad_signature responder signs with: unrelated to the CA, and
+  /// a pure function of the fixed rng_, so it is built once.
+  std::optional<crypto::KeyPair> bad_signature_key_;
+  /// The largest answer sign_response has written: the capacity it reserves
+  /// up front, so a steady stream of answers does not regrow its buffer.
+  /// Only a size hint — no answer's bytes depend on it.
+  mutable std::atomic<std::size_t> answer_capacity_{0};
   std::vector<util::Duration> backend_phases_;
   // Expected CertID issuer hashes — requests naming a different issuer get
   // Unknown ("the certificate is not served by this responder", §2.2).
@@ -179,7 +190,8 @@ class OcspResponder {
   };
   // CertID -> per-backend cached encoding for the current cycle.
   mutable util::Mutex mu_;  ///< guards cache_ across lookup + generation
-  std::map<ocsp::CertId, std::vector<CacheEntry>> cache_
+  // Searched with the request's CertIdView: a hit builds no CertId.
+  std::map<ocsp::CertId, std::vector<CacheEntry>, ocsp::CertIdLess> cache_
       MUSTAPLE_GUARDED_BY(mu_);
   /// DER bytes resident in cache_, charged to "ca.response_cache" (updated
   /// under mu_; released wholesale on destruction).

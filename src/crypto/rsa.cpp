@@ -16,9 +16,9 @@ const util::Bytes& sha256_digest_info_prefix() {
   return prefix;
 }
 
-util::Bytes build_em(const util::Bytes& message, std::size_t em_len) {
+util::Bytes build_em(util::BytesView message, std::size_t em_len) {
   util::Bytes t = sha256_digest_info_prefix();
-  util::append(t, Sha256::hash(message));
+  util::append(t, Sha256().update(message.data(), message.size()).digest());
   if (em_len < t.size() + 11) {
     throw std::length_error("rsa: modulus too small for SHA-256 DigestInfo");
   }
@@ -75,7 +75,7 @@ RsaKeyPair RsaKeyPair::generate(std::size_t modulus_bits, util::Rng& rng) {
   }
 }
 
-util::Bytes rsa_sign_sha256(const RsaKeyPair& key, const util::Bytes& message) {
+util::Bytes rsa_sign_sha256(const RsaKeyPair& key, util::BytesView message) {
   const std::size_t k = key.public_key.modulus_bytes();
   const util::Bytes em = build_em(message, k);
   const BigInt m = BigInt::from_bytes_be(em);

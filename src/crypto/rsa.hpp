@@ -8,6 +8,7 @@
 
 #include "crypto/bigint.hpp"
 #include "util/bytes.hpp"
+#include "util/bytes_view.hpp"
 #include "util/rng.hpp"
 
 namespace mustaple::crypto {
@@ -33,7 +34,7 @@ struct RsaKeyPair {
 
 /// Signs SHA-256(message) with a PKCS#1 v1.5-style padding:
 ///   0x00 0x01 0xFF.. 0x00 || DigestInfo(SHA-256, digest)
-util::Bytes rsa_sign_sha256(const RsaKeyPair& key, const util::Bytes& message);
+util::Bytes rsa_sign_sha256(const RsaKeyPair& key, util::BytesView message);
 
 /// Verifies a signature produced by rsa_sign_sha256.
 bool rsa_verify_sha256(const RsaPublicKey& key, const util::Bytes& message,

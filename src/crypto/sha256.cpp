@@ -482,7 +482,7 @@ Sha256& Sha256::update(const std::uint8_t* data, std::size_t len) {
   return *this;
 }
 
-util::Bytes Sha256::digest() {
+void Sha256::digest_to(std::uint8_t* out) {
   if (finalized_) throw std::logic_error("Sha256::digest called twice");
   finalized_ = true;
   const std::uint64_t bit_len = total_bytes_ * 8;
@@ -511,13 +511,17 @@ util::Bytes Sha256::digest() {
   }
   feed(len_bytes, 8);
 
-  util::Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(4 * i)] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[static_cast<std::size_t>(4 * i + 1)] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[static_cast<std::size_t>(4 * i + 2)] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[static_cast<std::size_t>(4 * i + 3)] = static_cast<std::uint8_t>(state_[i]);
+    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
+}
+
+util::Bytes Sha256::digest() {
+  util::Bytes out(kDigestSize);
+  digest_to(out.data());
   return out;
 }
 

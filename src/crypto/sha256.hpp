@@ -52,6 +52,9 @@ class Sha256 {
   /// Finalizes and returns the 32-byte digest. The object must not be
   /// updated afterwards.
   util::Bytes digest();
+  /// Finalizes into out[0, kDigestSize) without allocating; the same
+  /// contract as digest().
+  void digest_to(std::uint8_t* out);
 
   /// One-shot convenience.
   static util::Bytes hash(const util::Bytes& data);

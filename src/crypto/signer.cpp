@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/hmac.hpp"
-#include "crypto/sha256.hpp"
-
 namespace mustaple::crypto {
 
 const char* to_string(SignatureAlgorithm alg) {
@@ -50,8 +47,11 @@ bool PublicKey::verify(const util::Bytes& message,
       return rsa_verify_sha256(key, message, signature);
     }
     case SignatureAlgorithm::kSimHashSig: {
-      const util::Bytes expected = hmac_sha256(key_bytes_, message);
-      return util::equal_constant_time(expected, signature);
+      if (signature.size() != HmacSha256Key::kMacSize) return false;
+      std::uint8_t expected[HmacSha256Key::kMacSize];
+      HmacSha256Key(key_bytes_).mac_to(message, expected);
+      return util::equal_constant_time(expected, signature.data(),
+                                       HmacSha256Key::kMacSize);
     }
   }
   return false;
@@ -66,21 +66,25 @@ KeyPair KeyPair::generate_rsa(std::size_t modulus_bits, util::Rng& rng) {
   return kp;
 }
 
-KeyPair KeyPair::generate_sim(util::Rng& rng) {
-  KeyPair kp;
+PublicKey PublicKey::generate_sim(util::Rng& rng) {
   util::Bytes id(32);
   rng.fill(id.data(), id.size());
-  kp.public_key_ = PublicKey(SignatureAlgorithm::kSimHashSig, id);
-  kp.sim_secret_ = std::move(id);
+  return PublicKey(SignatureAlgorithm::kSimHashSig, std::move(id));
+}
+
+KeyPair KeyPair::generate_sim(util::Rng& rng) {
+  KeyPair kp;
+  kp.public_key_ = PublicKey::generate_sim(rng);
+  kp.sim_key_.emplace(kp.public_key_.key_bytes());
   return kp;
 }
 
-util::Bytes KeyPair::sign(const util::Bytes& message) const {
+util::Bytes KeyPair::sign(util::BytesView message) const {
   switch (algorithm()) {
     case SignatureAlgorithm::kRsaSha256:
       return rsa_sign_sha256(*rsa_, message);
     case SignatureAlgorithm::kSimHashSig:
-      return hmac_sha256(public_key_.key_bytes(), message);
+      return sim_key_->mac(message);
   }
   throw std::logic_error("KeyPair::sign: unreachable");
 }

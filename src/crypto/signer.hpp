@@ -8,16 +8,22 @@
 //    for the study is that verification deterministically FAILS when the
 //    message was tampered with or the wrong key is used — exactly the
 //    "Incorrect signature" classification of paper §5.3 — while costing
-//    nanoseconds instead of milliseconds at fleet scale.
+//    nanoseconds instead of milliseconds at fleet scale. A sim KeyPair
+//    absorbs its HMAC pads once, when the key is generated (HmacSha256Key),
+//    so signing costs the message's compressions plus two and allocates
+//    only the returned signature; verifying allocates nothing.
 //
 // The algorithm travels inside the key material, so a mixed ecosystem works.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
+#include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "util/bytes.hpp"
+#include "util/bytes_view.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +52,11 @@ class PublicKey {
   util::Bytes encode() const;
   static util::Result<PublicKey> decode(const util::Bytes& wire);
 
+  /// A simulation-grade key's public half, drawn as KeyPair::generate_sim
+  /// draws it, for a holder that never signs (an issued leaf): it skips
+  /// absorbing the HMAC pads.
+  static PublicKey generate_sim(util::Rng& rng);
+
   /// Checks a signature over `message`.
   bool verify(const util::Bytes& message, const util::Bytes& signature) const;
 
@@ -71,14 +82,20 @@ class KeyPair {
   const PublicKey& public_key() const { return public_key_; }
   SignatureAlgorithm algorithm() const { return public_key_.algorithm(); }
 
-  util::Bytes sign(const util::Bytes& message) const;
+  /// Signs `message`. The view overload is the implementation; the
+  /// const-ref overload keeps temporaries (a payload built in the call)
+  /// legal, as Oid::decode_content does.
+  util::Bytes sign(util::BytesView message) const;
+  util::Bytes sign(const util::Bytes& message) const {
+    return sign(util::BytesView(message));
+  }
 
  private:
   KeyPair() = default;
   PublicKey public_key_;
   // Exactly one of the following is populated, per the algorithm tag.
   std::shared_ptr<const RsaKeyPair> rsa_;  // shared: KeyPair is copied into CA registries
-  util::Bytes sim_secret_;
+  std::optional<HmacSha256Key> sim_key_;   // keyed by the public key bytes
 };
 
 }  // namespace mustaple::crypto

@@ -95,7 +95,7 @@ bool name_less(const HeaderMap::Entry& entry, std::string_view name) {
 
 }  // namespace
 
-void HeaderMap::set(const std::string& name, const std::string& value) {
+void HeaderMap::set(std::string_view name, std::string_view value) {
   put(name, value);
 }
 
@@ -313,7 +313,7 @@ util::Result<HttpResponse> HttpResponse::parse(const util::Bytes& wire) {
 
 HttpResponse HttpResponse::make(int status, std::string reason,
                                 util::Bytes body,
-                                const std::string& content_type) {
+                                std::string_view content_type) {
   HttpResponse resp;
   resp.status_code = status;
   resp.reason = std::move(reason);

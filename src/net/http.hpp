@@ -29,7 +29,7 @@ class HeaderMap {
   using Entry = std::pair<std::string, std::string>;
 
   /// Sets `name` (any case) to `value`; a later set replaces the value.
-  void set(const std::string& name, const std::string& value);
+  void set(std::string_view name, std::string_view value);
   /// Returns empty string when absent.
   std::string get(const std::string& name) const;
   bool contains(const std::string& name) const;
@@ -85,7 +85,7 @@ struct HttpResponse {
   static util::Result<HttpResponse> parse(const util::Bytes& wire);
 
   static HttpResponse make(int status, std::string reason, util::Bytes body,
-                           const std::string& content_type);
+                           std::string_view content_type);
 };
 
 const char* default_reason(int status_code);

@@ -359,6 +359,13 @@ bool FlightRecorder::install(const std::string& artifact_dir) {
     return false;
   }
   copy_trunc(dir_, sizeof(dir_), artifact_dir.c_str());
+#if MUSTAPLE_HAVE_BACKTRACE
+  // The first backtrace() loads the unwinder through the dynamic loader,
+  // which calls malloc; do it here, so a crash handler's call finds it
+  // loaded and stays async-signal-safe.
+  void* warm_up[1];
+  (void)::backtrace(warm_up, 1);
+#endif
   FlightRecorder* expected_self = this;
   if (g_recorder.exchange(this, std::memory_order_acq_rel) == nullptr ||
       !installed_.load(std::memory_order_acquire)) {

@@ -15,58 +15,15 @@ using asn1::Writer;
 using util::Bytes;
 using util::Result;
 
-void write_alg(Writer& w, crypto::SignatureAlgorithm alg) {
-  w.sequence([&](Writer& seq) {
-    seq.oid(alg == crypto::SignatureAlgorithm::kRsaSha256
-                ? asn1::oids::sha256_with_rsa()
-                : asn1::oids::sim_hash_sig());
-    seq.null();
-  });
-}
-
-void encode_single(Writer& w, const SingleResponse& single) {
-  w.sequence([&](Writer& s) {
-    encode_cert_id(s, single.cert_id);
-    switch (single.status) {
-      case CertStatus::kGood:
-        s.implicit_context(0, {});  // [0] IMPLICIT NULL
-        break;
-      case CertStatus::kRevoked: {
-        // [1] IMPLICIT RevokedInfo (constructed).
-        const RevokedInfo& rev =
-            single.revoked.value_or(RevokedInfo{single.this_update, {}});
-        s.nested(asn1::context_tag(1, /*constructed=*/true), [&](Writer& info) {
-          info.generalized_time(rev.revocation_time);
-          if (rev.reason) {
-            info.explicit_context(0, [&](Writer& reason) {
-              reason.enumerated(static_cast<std::int64_t>(*rev.reason));
-            });
-          }
-        });
-        break;
-      }
-      case CertStatus::kUnknown:
-        s.implicit_context(2, {});
-        break;
-    }
-    s.generalized_time(single.this_update);
-    if (single.next_update) {
-      s.explicit_context(0, [&](Writer& nu) {
-        nu.generalized_time(*single.next_update);
-      });
-    }
-  });
-}
-
 Result<SingleResponse> decode_single(Reader& r) {
   using R = Result<SingleResponse>;
   auto seq = r.expect_view(Tag::kSequence);
   if (!seq.ok()) return R::failure(seq.error().code, "SingleResponse");
   Reader body(seq.value().content);
   SingleResponse single;
-  auto id = decode_cert_id(body);
+  auto id = read_cert_id(body);
   if (!id.ok()) return R::failure(id.error().code, id.error().detail);
-  single.cert_id = id.value();
+  single.cert_id = id.value().to_cert_id();
 
   auto status_tlv = body.read_any_view();
   if (!status_tlv.ok()) return R::failure(status_tlv.error().code, "certStatus");
@@ -115,6 +72,70 @@ Result<SingleResponse> decode_single(Reader& r) {
 
 }  // namespace
 
+void encode_single(Writer& w, const CertIdView& cert_id, CertStatus status,
+                   const std::optional<RevokedInfo>& revoked,
+                   util::SimTime this_update,
+                   const std::optional<util::SimTime>& next_update) {
+  w.sequence([&](Writer& s) {
+    encode_cert_id(s, cert_id);
+    switch (status) {
+      case CertStatus::kGood:
+        s.implicit_context(0, {});  // [0] IMPLICIT NULL
+        break;
+      case CertStatus::kRevoked: {
+        // [1] IMPLICIT RevokedInfo (constructed).
+        const RevokedInfo& rev =
+            revoked ? *revoked : RevokedInfo{this_update, {}};
+        s.nested(asn1::context_tag(1, /*constructed=*/true), [&](Writer& info) {
+          info.generalized_time(rev.revocation_time);
+          if (rev.reason) {
+            info.explicit_context(0, [&](Writer& reason) {
+              reason.enumerated(static_cast<std::int64_t>(*rev.reason));
+            });
+          }
+        });
+        break;
+      }
+      case CertStatus::kUnknown:
+        s.implicit_context(2, {});
+        break;
+    }
+    s.generalized_time(this_update);
+    if (next_update) {
+      s.explicit_context(0, [&](Writer& nu) {
+        nu.generalized_time(*next_update);
+      });
+    }
+  });
+}
+
+namespace detail {
+
+void encode_nonce_extension(Writer& w, util::BytesView nonce) {
+  // [1] EXPLICIT responseExtensions.
+  w.explicit_context(1, [&](Writer& wrapper) {
+    wrapper.sequence([&](Writer& exts) {
+      exts.sequence([&](Writer& ext) {
+        ext.oid(asn1::oids::ocsp_nonce());
+        ext.octet_string(nonce);
+      });
+    });
+  });
+}
+
+void encode_signature(Writer& w, crypto::SignatureAlgorithm alg,
+                      util::BytesView signature) {
+  w.sequence([&](Writer& seq) {
+    seq.oid(alg == crypto::SignatureAlgorithm::kRsaSha256
+                ? asn1::oids::sha256_with_rsa()
+                : asn1::oids::sim_hash_sig());
+    seq.null();
+  });
+  w.bit_string(signature);
+}
+
+}  // namespace detail
+
 const SingleResponse* OcspResponse::find_by_serial(
     const util::Bytes& serial) const {
   const auto it = std::find_if(responses_.begin(), responses_.end(),
@@ -126,32 +147,19 @@ const SingleResponse* OcspResponse::find_by_serial(
 
 util::Bytes OcspResponse::encode_der() const {
   Writer w;
-  w.sequence([&](Writer& response) {
-    response.enumerated(static_cast<std::int64_t>(response_status_));
-    if (response_status_ == ResponseStatus::kSuccessful) {
-      response.explicit_context(0, [&](Writer& rb) {
-        rb.sequence([&](Writer& response_bytes) {
-          response_bytes.oid(asn1::oids::ocsp_basic());
-          // BasicOCSPResponse, written in place inside its OCTET STRING.
-          response_bytes.nested(
-              static_cast<std::uint8_t>(Tag::kOctetString), [&](Writer& octets) {
-                octets.sequence([&](Writer& b) {
-                  b.raw(tbs_der_);
-                  write_alg(b, sig_alg_);
-                  b.bit_string(signature_);
-                  if (!certs_.empty()) {
-                    b.explicit_context(0, [&](Writer& certs_wrap) {
-                      certs_wrap.sequence([&](Writer& list) {
-                        for (const auto& cert : certs_) cert.encode(list);
-                      });
-                    });
-                  }
-                });
-              });
-        });
+  if (response_status_ != ResponseStatus::kSuccessful) {
+    w.sequence([&](Writer& response) {
+      response.enumerated(static_cast<std::int64_t>(response_status_));
+    });
+    return w.take();
+  }
+  encode_successful_response(
+      w, [&](Writer& b) { b.raw(tbs_der_); }, sig_alg_,
+      [&](util::BytesView) -> const util::Bytes& { return signature_; },
+      !certs_.empty(),
+      [&](Writer& list) {
+        for (const auto& cert : certs_) cert.encode(list);
       });
-    }
-  });
   return w.take();
 }
 
@@ -321,22 +329,17 @@ OcspResponseBuilder& OcspResponseBuilder::nonce(util::Bytes value) {
 
 OcspResponse OcspResponseBuilder::sign(const crypto::KeyPair& key) {
   Writer tbs;
-  tbs.sequence([&](Writer& body) {
-    body.generalized_time(produced_at_);
-    body.sequence([&](Writer& singles) {
-      for (const auto& single : responses_) encode_single(singles, single);
-    });
-    if (nonce_) {
-      body.explicit_context(1, [&](Writer& wrapper) {
-        wrapper.sequence([&](Writer& exts) {
-          exts.sequence([&](Writer& ext) {
-            ext.oid(asn1::oids::ocsp_nonce());
-            ext.octet_string(*nonce_);
-          });
-        });
-      });
-    }
-  });
+  const std::optional<util::BytesView> nonce =
+      nonce_ ? std::optional<util::BytesView>(*nonce_) : std::nullopt;
+  encode_response_data(
+      tbs, produced_at_,
+      [&](Writer& singles) {
+        for (const auto& single : responses_) {
+          encode_single(singles, single.cert_id, single.status, single.revoked,
+                        single.this_update, single.next_update);
+        }
+      },
+      nonce);
 
   OcspResponse out;
   out.response_status_ = ResponseStatus::kSuccessful;

@@ -74,7 +74,79 @@ class OcspResponse {
   crypto::SignatureAlgorithm sig_alg_ = crypto::SignatureAlgorithm::kSimHashSig;
 };
 
-/// Builds responses. The CA simulation drives this; the behaviour-profile
+// ------------------------------------------------------------ encoders --
+//
+// Each structure has one encoder. OcspResponse::encode_der (built and
+// parsed responses) and OcspResponseBuilder go through these, and so does
+// the CA's responder, which writes its answer straight from its inputs —
+// a request's CertID and nonce as views — into one asn1::Writer and signs
+// the tbsResponseData where it lies (DESIGN.md §9).
+
+/// Writes one SingleResponse. A revoked status without `revoked` details
+/// reads as revoked at `this_update` with no reason.
+void encode_single(asn1::Writer& w, const CertIdView& cert_id,
+                   CertStatus status, const std::optional<RevokedInfo>& revoked,
+                   util::SimTime this_update,
+                   const std::optional<util::SimTime>& next_update);
+
+namespace detail {
+void encode_nonce_extension(asn1::Writer& w, util::BytesView nonce);
+void encode_signature(asn1::Writer& w, crypto::SignatureAlgorithm alg,
+                      util::BytesView signature);
+}  // namespace detail
+
+/// Writes tbsResponseData: producedAt, the SingleResponses `singles(w)`
+/// writes, and the nonce extension when there is one.
+template <typename Singles>
+void encode_response_data(asn1::Writer& w, util::SimTime produced_at,
+                          Singles&& singles,
+                          const std::optional<util::BytesView>& nonce) {
+  w.sequence([&](asn1::Writer& body) {
+    body.generalized_time(produced_at);
+    body.sequence(singles);
+    if (nonce) detail::encode_nonce_extension(body, *nonce);
+  });
+}
+
+/// Writes a successful OCSPResponse whose BasicOCSPResponse is written in
+/// place inside its OCTET STRING: `tbs(w)` writes tbsResponseData, then
+/// `sign(tbs_der)` returns the signature over it. The TBS is final once
+/// `tbs` returns and nothing moves it until the enclosing TLVs close, so
+/// `tbs_der` views it where it lies in the Writer's buffer — valid only
+/// until `sign` returns. `certs(w)` writes the certificates, each with
+/// Certificate::encode, and runs only when `has_certs`.
+template <typename Tbs, typename Sign, typename Certs>
+void encode_successful_response(asn1::Writer& w, Tbs&& tbs,
+                                crypto::SignatureAlgorithm alg, Sign&& sign,
+                                bool has_certs, Certs&& certs) {
+  w.sequence([&](asn1::Writer& response) {
+    response.enumerated(static_cast<std::int64_t>(ResponseStatus::kSuccessful));
+    response.explicit_context(0, [&](asn1::Writer& rb) {
+      rb.sequence([&](asn1::Writer& response_bytes) {
+        response_bytes.oid(asn1::oids::ocsp_basic());
+        response_bytes.nested(
+            static_cast<std::uint8_t>(asn1::Tag::kOctetString),
+            [&](asn1::Writer& octets) {
+              octets.sequence([&](asn1::Writer& basic) {
+                const std::size_t tbs_begin = basic.bytes().size();
+                tbs(basic);
+                decltype(auto) signature =
+                    sign(util::BytesView(basic.bytes()).subview(tbs_begin));
+                detail::encode_signature(basic, alg, signature);
+                if (has_certs) {
+                  basic.explicit_context(0, [&](asn1::Writer& certs_wrap) {
+                    certs_wrap.sequence(certs);
+                  });
+                }
+              });
+            });
+      });
+    });
+  });
+}
+
+/// Builds responses. Tests and examples construct responses with it (and
+/// the responder's bytes are checked against it); the behaviour-profile
 /// knobs (extra serials, superfluous certs, blank nextUpdate, premature
 /// thisUpdate) map directly onto builder calls.
 class OcspResponseBuilder {

@@ -8,17 +8,15 @@
 //    sit on a container hot path. Conservation law: allocated_bytes -
 //    freed_bytes == outstanding() at every quiescent point (asserted in
 //    tests at every thread count).
-//  * CountingAllocator<T> — a std-compatible allocator that reports every
-//    allocate/deallocate to an AllocCounter. A null counter makes it a
-//    plain std::allocator, so containers can be typed for counting and
-//    wired up only where a subsystem opts in.
+//  * AllocTally — manual accounting for buffers held in plain containers,
+//    released wholesale when its owner goes away.
 //  * a process-wide named registry (alloc_counter("scan.targets"))
 //    so subsystems tally under stable names and exporters (ResourceMonitor,
 //    mustaple_bench, /statusz) can walk every subsystem generically.
 //
-// This is util, not obs: the accounting stays available (and the wired
-// containers keep their types) under MUSTAPLE_OBS_OFF; only the obs-layer
-// EXPORT of these numbers compiles out. Counting never changes what a
+// This is util, not obs: the accounting stays available under
+// MUSTAPLE_OBS_OFF; only the obs-layer EXPORT of these numbers compiles
+// out. Counting never changes what a
 // container stores, so it can never change campaign outputs.
 #pragma once
 
@@ -111,46 +109,6 @@ void visit_alloc_counters(
 /// Test/bench support: reset every registered counter's tallies (the
 /// counters themselves stay registered — references remain valid).
 void reset_alloc_counters();
-
-/// std-compatible allocator charging a named AllocCounter. With a null
-/// counter it degrades to std::allocator semantics; either way the VALUES
-/// allocated are identical, so wiring a container for counting can never
-/// change behaviour — only visibility.
-template <typename T>
-class CountingAllocator {
- public:
-  using value_type = T;
-
-  CountingAllocator() = default;
-  explicit CountingAllocator(AllocCounter* counter) : counter_(counter) {}
-  template <typename U>
-  CountingAllocator(const CountingAllocator<U>& other)  // NOLINT(*-explicit-*)
-      : counter_(other.counter()) {}
-
-  T* allocate(std::size_t n) {
-    if (counter_ != nullptr) counter_->record_alloc(n * sizeof(T));
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) {
-    if (counter_ != nullptr) counter_->record_free(n * sizeof(T));
-    ::operator delete(p);
-  }
-
-  AllocCounter* counter() const { return counter_; }
-
-  // Counting is observability, not identity: two instances can always swap
-  // storage, so all instances compare equal (the std::allocator contract
-  // containers rely on for moves/swaps).
-  friend bool operator==(const CountingAllocator&, const CountingAllocator&) {
-    return true;
-  }
-  friend bool operator!=(const CountingAllocator&, const CountingAllocator&) {
-    return false;
-  }
-
- private:
-  AllocCounter* counter_ = nullptr;
-};
 
 /// Manual accounting for buffers allocated through plain containers (the
 /// ecosystem's generated DER, the responder's response cache): record(n)

@@ -45,8 +45,10 @@ std::string encode_with(const Bytes& data, const char* alphabet, bool pad) {
   return out;
 }
 
-std::array<std::int8_t, 256> make_table(const char* alphabet) {
-  std::array<std::int8_t, 256> table;
+using Table = std::array<std::int8_t, 256>;
+
+Table make_table(const char* alphabet) {
+  Table table;
   table.fill(-1);
   for (int i = 0; i < 64; ++i) {
     table[static_cast<std::size_t>(
@@ -55,34 +57,64 @@ std::array<std::int8_t, 256> make_table(const char* alphabet) {
   return table;
 }
 
-Result<Bytes> decode_with(const std::string& text,
-                          const std::array<std::int8_t, 256>& table) {
-  using R = Result<Bytes>;
-  // Strip padding.
-  std::size_t length = text.size();
-  while (length > 0 && text[length - 1] == '=') --length;
-  if (length % 4 == 1) return R::failure("base64.bad_length");
+const Table& standard_table() {
+  static const Table table = make_table(kStandard);
+  return table;
+}
 
-  Bytes out;
-  out.reserve(length / 4 * 3 + 2);
+const Table& url_safe_table() {
+  static const Table table = make_table(kUrlSafe);
+  return table;
+}
+
+// The one decoder. The text in `buf` may use `first` or `second` (pass one
+// table twice for a single alphabet) but not both; a character both accept
+// has the same value in each. Output is written over the text it came from:
+// three bytes per four characters, so the write position never passes the
+// read position. Fails with the code decoding with `second` alone gives.
+Status decode_in_place(Bytes& buf, const Table& first, const Table& second) {
+  // Strip padding.
+  std::size_t length = buf.size();
+  while (length > 0 && buf[length - 1] == '=') --length;
+  if (length % 4 == 1) return Status::failure("base64.bad_length");
+
+  bool first_only = false;   // saw a character only `first` accepts
+  bool second_only = false;  // saw a character only `second` accepts
   std::uint32_t acc = 0;
   int bits = 0;
+  std::size_t written = 0;
   for (std::size_t i = 0; i < length; ++i) {
-    const std::int8_t v =
-        table[static_cast<std::size_t>(static_cast<unsigned char>(text[i]))];
-    if (v < 0) return R::failure("base64.bad_character", std::string(1, text[i]));
-    acc = (acc << 6) | static_cast<std::uint32_t>(v);
+    const std::uint8_t c = buf[i];
+    const std::int8_t a = first[c];
+    const std::int8_t b = second[c];
+    first_only = first_only || b < 0;
+    second_only = second_only || a < 0;
+    if ((a < 0 && b < 0) || (first_only && second_only)) {
+      return Status::failure("base64.bad_character",
+                             std::string(1, static_cast<char>(c)));
+    }
+    acc = (acc << 6) | static_cast<std::uint32_t>(a >= 0 ? a : b);
     bits += 6;
     if (bits >= 8) {
       bits -= 8;
-      out.push_back(static_cast<std::uint8_t>(acc >> bits));
+      buf[written++] = static_cast<std::uint8_t>(acc >> bits);
     }
   }
-  // Leftover bits must be zero (canonical encoding).
+  // Leftover bits must be zero (canonical encoding). Text only `first`
+  // accepts fails in `second` on its characters before its bits.
   if (bits > 0 && (acc & ((1u << bits) - 1)) != 0) {
-    return R::failure("base64.nonzero_trailing_bits");
+    return Status::failure(first_only ? "base64.bad_character"
+                                      : "base64.nonzero_trailing_bits");
   }
-  return out;
+  buf.resize(written);
+  return Status::success();
+}
+
+Result<Bytes> decode_with(const std::string& text, const Table& table) {
+  Bytes buf(text.begin(), text.end());
+  const Status status = decode_in_place(buf, table, table);
+  if (!status.ok()) return status.error();
+  return buf;
 }
 
 }  // namespace
@@ -92,8 +124,7 @@ std::string base64_encode(const Bytes& data) {
 }
 
 Result<Bytes> base64_decode(const std::string& text) {
-  static const auto table = make_table(kStandard);
-  return decode_with(text, table);
+  return decode_with(text, standard_table());
 }
 
 std::string base64url_encode(const Bytes& data) {
@@ -101,8 +132,11 @@ std::string base64url_encode(const Bytes& data) {
 }
 
 Result<Bytes> base64url_decode(const std::string& text) {
-  static const auto table = make_table(kUrlSafe);
-  return decode_with(text, table);
+  return decode_with(text, url_safe_table());
+}
+
+Status base64_decode_in_place(Bytes& buf) {
+  return decode_in_place(buf, url_safe_table(), standard_table());
 }
 
 }  // namespace mustaple::util

@@ -21,4 +21,10 @@ std::string base64url_encode(const Bytes& data);
 
 Result<Bytes> base64url_decode(const std::string& text);
 
+/// Decodes base64 in either alphabet — URL-safe or standard, one of them
+/// throughout — in place: `buf` holds the text on entry and the decoded
+/// bytes on success. Accepts exactly what base64url_decode or base64_decode
+/// accepts, and fails with base64_decode's error code.
+Status base64_decode_in_place(Bytes& buf);
+
 }  // namespace mustaple::util

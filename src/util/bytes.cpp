@@ -56,9 +56,14 @@ void append(Bytes& dst, const Bytes& src) {
 }
 
 bool equal_constant_time(const Bytes& a, const Bytes& b) {
-  if (a.size() != b.size()) return false;
+  return a.size() == b.size() &&
+         equal_constant_time(a.data(), b.data(), a.size());
+}
+
+bool equal_constant_time(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t n) {
   std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
+  for (std::size_t i = 0; i < n; ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
 

@@ -30,7 +30,10 @@ std::string text_of(const Bytes& data);
 void append(Bytes& dst, const Bytes& src);
 
 /// Constant-time equality; used for signature/MAC comparison so simulated
-/// verification mirrors real-world practice.
+/// verification mirrors real-world practice. The pointer form compares
+/// `n` bytes of each, for a MAC held outside a Bytes.
 bool equal_constant_time(const Bytes& a, const Bytes& b);
+bool equal_constant_time(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t n);
 
 }  // namespace mustaple::util

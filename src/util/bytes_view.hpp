@@ -61,6 +61,17 @@ class BytesView {
   std::size_t size_ = 0;
 };
 
+/// The byte order of Bytes (lexicographic, unsigned), over views and
+/// transparent: a std::map keyed by Bytes with this comparator is searched
+/// with a BytesView, without building a key.
+struct BytesLess {
+  using is_transparent = void;
+  bool operator()(BytesView a, BytesView b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
 /// View counterpart of text_of(const Bytes&).
 inline std::string text_of(BytesView data) {
   return std::string(data.begin(), data.end());

@@ -50,35 +50,49 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-Result<std::string> percent_decode(std::string_view text) {
-  using R = Result<std::string>;
+namespace {
+
+template <typename Out>
+Status percent_decode_into(std::string_view text, Out& out) {
   const auto hex_nibble = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';
     if (c >= 'a' && c <= 'f') return c - 'a' + 10;
     if (c >= 'A' && c <= 'F') return c - 'A' + 10;
     return -1;
   };
-  std::string out;
-  out.reserve(text.size());
+  out.reserve(out.size() + text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
     if (text[i] != '%') {
-      out.push_back(text[i]);
+      out.push_back(static_cast<typename Out::value_type>(text[i]));
       continue;
     }
     if (i + 2 >= text.size()) {  // fewer than two chars remain after '%'
-      return R::failure("strings.bad_percent_escape",
-                        "truncated escape at offset " + std::to_string(i));
+      return Status::failure("strings.bad_percent_escape",
+                             "truncated escape at offset " + std::to_string(i));
     }
     const int hi = hex_nibble(text[i + 1]);
     const int lo = hex_nibble(text[i + 2]);
     if (hi < 0 || lo < 0) {
-      return R::failure("strings.bad_percent_escape",
-                        std::string(text.substr(i, 3)));
+      return Status::failure("strings.bad_percent_escape",
+                             std::string(text.substr(i, 3)));
     }
-    out.push_back(static_cast<char>((hi << 4) | lo));
+    out.push_back(static_cast<typename Out::value_type>((hi << 4) | lo));
     i += 2;
   }
+  return Status::success();
+}
+
+}  // namespace
+
+Result<std::string> percent_decode(std::string_view text) {
+  std::string out;
+  const Status status = percent_decode_into(text, out);
+  if (!status.ok()) return status.error();
   return out;
+}
+
+Status percent_decode(std::string_view text, Bytes& out) {
+  return percent_decode_into(text, out);
 }
 
 std::string format(const char* fmt, ...) {

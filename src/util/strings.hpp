@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/result.hpp"
 
 namespace mustaple::util {
@@ -57,6 +58,9 @@ bool ends_with(std::string_view text, std::string_view suffix);
 /// unchanged, and decoded bytes may be anything, NUL included ("%00" decodes
 /// to a NUL byte; whether that byte is acceptable is the caller's problem).
 Result<std::string> percent_decode(std::string_view text);
+/// The same decoding, appended to `out`: a caller that decodes further in
+/// place (an OCSP GET path's base64) keeps one buffer.
+Status percent_decode(std::string_view text, Bytes& out);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

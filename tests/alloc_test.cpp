@@ -10,10 +10,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "ca/authority.hpp"
+#include "ca/responder.hpp"
 #include "measurement/ecosystem.hpp"
 #include "measurement/scanner.hpp"
 #include "net/event_loop.hpp"
+#include "ocsp/request.hpp"
+#include "util/base64.hpp"
 
 namespace {
 
@@ -96,10 +102,12 @@ namespace mustaple::measurement {
 namespace {
 
 // An availability probe (fetch and accumulate, validation off) allocated
-// 55 times while each probe still serialized and reparsed its HTTP request;
-// with one prepared request per target it allocates about 21 times, at one
-// and at four scan threads. Most of what is left is the responder's.
-constexpr double kMaxAllocationsPerProbe = 32.0;
+// 55 times while each probe still serialized and reparsed its HTTP request,
+// and 21.1 times with one prepared request per target, most of them the
+// on-demand responders' (an owning request parse, a response assembled,
+// signed and re-encoded). Answering from the request's views in one
+// Writer brings it to 2.9.
+constexpr double kMaxAllocationsPerProbe = 3.5;
 
 TEST(AllocBudget, SimulatedProbeStaysUnderBudget) {
   EcosystemConfig config;
@@ -133,10 +141,11 @@ TEST(AllocBudget, SimulatedProbeStaysUnderBudget) {
 }
 
 // A validated, linted probe allocated 39.8 times while it hashed its body
-// for two shared caches; comparing the body with the last one its target
-// returned, and checking only a changed body, brings that to about 35, at
-// one and at four scan threads.
-constexpr double kMaxAllocationsPerValidatedProbe = 37.0;
+// for two shared caches, and 35.1 times once it compared the body with the
+// last one its target returned and checked only a changed body. With the
+// responders answering in one pass it allocates 14.2 times; most of what
+// is left is the owning parse and lint of each changed body.
+constexpr double kMaxAllocationsPerValidatedProbe = 15.0;
 
 TEST(AllocBudget, ValidatedProbeStaysUnderBudget) {
   EcosystemConfig config;
@@ -165,6 +174,84 @@ TEST(AllocBudget, ValidatedProbeStaysUnderBudget) {
   std::printf("allocations per validated probe: %.1f over %llu probes\n",
               per_probe, static_cast<unsigned long long>(probes));
   EXPECT_LE(per_probe, kMaxAllocationsPerValidatedProbe);
+}
+
+// One on-demand OcspResponder::handle() in serve_sign's shape: a sim CA
+// with 64 leaves, the default profile answering on demand, and a 16-byte
+// nonce per request, over POST and over a GET whose path is percent-encoded
+// standard base64. Owning request parses and a response assembled, signed
+// and re-encoded cost 46 (POST) and 49.7 (GET) allocations; reading the
+// request through views and writing the answer in one Writer leaves 4.5
+// and 5.5: the answer buffer (trimmed again when it comes out shorter than
+// the largest answer so far), the signature, the response's header entry
+// and its content-type value, and for a GET the decoded request.
+constexpr double kMaxAllocationsPerPostHandle = 5.5;
+constexpr double kMaxAllocationsPerGetHandle = 6.5;
+
+TEST(AllocBudget, OnDemandHandleStaysUnderBudget) {
+  const util::SimTime now = util::make_time(2018, 5, 1, 12);
+  util::Rng rng(2018);
+  ca::CertificateAuthority authority(
+      "AllocCA", now - util::Duration::days(2000), rng);
+  ca::ResponderBehavior behavior;
+  behavior.pre_generate = false;
+  ca::OcspResponder responder(authority, behavior, "ocsp.alloc.example", rng);
+
+  std::vector<net::HttpRequest> posts;
+  std::vector<net::HttpRequest> gets;
+  for (int i = 0; i < 64; ++i) {
+    ca::LeafRequest leaf;
+    leaf.domain = "alloc" + std::to_string(i) + ".example";
+    leaf.not_before = now - util::Duration::days(30);
+    const auto id = ocsp::CertId::for_certificate(
+        authority.issue(leaf, rng), authority.intermediate_cert());
+    ocsp::OcspRequest request = ocsp::OcspRequest::single(id);
+    request.set_nonce(util::Bytes(16, static_cast<std::uint8_t>(i)));
+    net::HttpRequest post;
+    post.method = "POST";
+    post.body = request.encode_der();
+    posts.push_back(post);
+    net::HttpRequest get;
+    get.method = "GET";
+    get.path = "/";
+    for (const char c : util::base64_encode(post.body)) {
+      if (c == '+') {
+        get.path += "%2B";
+      } else if (c == '/') {
+        get.path += "%2F";
+      } else if (c == '=') {
+        get.path += "%3D";
+      } else {
+        get.path += c;
+      }
+    }
+    gets.push_back(get);
+  }
+
+  const auto per_handle = [&](const std::vector<net::HttpRequest>& requests) {
+    std::size_t answered = 0;
+    const std::uint64_t before = g_allocations.load();
+    for (int round = 0; round < 4; ++round) {
+      for (const auto& request : requests) {
+        const net::HttpResponse response =
+            responder.handle(request, now, net::Region::kVirginia);
+        answered += response.body.size() > 100 ? 1 : 0;
+      }
+    }
+    const std::uint64_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(answered, 4 * requests.size());
+    return static_cast<double>(allocations) /
+           static_cast<double>(4 * requests.size());
+  };
+  per_handle(posts);  // warm-up: capacity hints and first-use statics
+  const double post = per_handle(posts);
+  const double get = per_handle(gets);
+  RecordProperty("allocations_per_post_handle", std::to_string(post));
+  RecordProperty("allocations_per_get_handle", std::to_string(get));
+  std::printf("allocations per on-demand handle: POST %.1f, GET %.1f\n", post,
+              get);
+  EXPECT_LE(post, kMaxAllocationsPerPostHandle);
+  EXPECT_LE(get, kMaxAllocationsPerGetHandle);
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(DerWriter, IntegerBytesStripsAndPads) {
   }
   {
     Writer w;
-    w.integer_bytes({});  // empty -> zero
+    w.integer_bytes(Bytes{});  // empty -> zero
     EXPECT_EQ(util::to_hex(w.bytes()), "020100");
   }
 }

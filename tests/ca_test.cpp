@@ -2,6 +2,7 @@
 // publication, and the OCSP responder's full behaviour-profile space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "obs/obs.hpp"
 #include "ocsp/request.hpp"
 #include "ocsp/verify.hpp"
+#include "util/base64.hpp"
 #include "x509/verify.hpp"
 
 namespace mustaple::ca {
@@ -661,6 +663,278 @@ TEST_F(ResponderFixture, EncodedDerMatchesGolden) {
   EXPECT_EQ(all.size(), 6139u);
   EXPECT_EQ(util::to_hex(crypto::Sha256::hash(all)),
             "fe6c18ba09723c78fd181eea42cfca7c9df273fe4053d1a525089273237e729a");
+}
+
+// ---------------------------------------------------- builder differential --
+
+// The answer an OcspResponder gives, rebuilt the long way: a SingleResponse
+// per serial and a certificate list assembled in an OcspResponseBuilder,
+// signed, then encoded by OcspResponse::encode_der. The responder writes
+// its answer in one pass instead; the bytes must not differ.
+Bytes builder_reference(const CertificateAuthority& ca,
+                        const ResponderBehavior& behavior,
+                        const ocsp::CertId& id, SimTime gen_time,
+                        const std::optional<Bytes>& nonce,
+                        const x509::Certificate* delegate_cert,
+                        const crypto::KeyPair& key) {
+  const SimTime this_update = gen_time - behavior.this_update_margin;
+  std::optional<SimTime> next_update;
+  if (behavior.validity) next_update = this_update + *behavior.validity;
+  const auto issued_by = [&id](const x509::Certificate& issuer) {
+    const ocsp::CertId half = ocsp::CertId::for_issuer(issuer);
+    return id.issuer_name_hash == half.issuer_name_hash &&
+           id.issuer_key_hash == half.issuer_key_hash;
+  };
+  const bool root_issued = issued_by(ca.root_cert());
+
+  ocsp::SingleResponse single;
+  single.cert_id = id;
+  if (behavior.wrong_serial) {
+    if (single.cert_id.serial.empty()) single.cert_id.serial.push_back(0);
+    single.cert_id.serial.back() ^= 0xff;
+  }
+  if (root_issued || issued_by(ca.intermediate_cert())) {
+    ocsp::RevokedInfo revoked;
+    single.status = ca.ocsp_status(id.serial, &revoked);
+    if (single.status == ocsp::CertStatus::kRevoked) single.revoked = revoked;
+  } else {
+    single.status = ocsp::CertStatus::kUnknown;
+  }
+  single.this_update = this_update;
+  single.next_update = next_update;
+
+  ocsp::OcspResponseBuilder builder;
+  builder.produced_at(gen_time).add_single(single);
+  if (nonce) builder.nonce(*nonce);
+  for (int i = 0; i < behavior.extra_serials; ++i) {
+    ocsp::SingleResponse extra;
+    extra.cert_id = id;
+    extra.cert_id.serial.push_back(static_cast<std::uint8_t>(i + 1));
+    extra.this_update = this_update;
+    extra.next_update = next_update;
+    builder.add_single(extra);
+  }
+  if (root_issued) builder.add_cert(ca.intermediate_cert());
+  if (delegate_cert != nullptr) builder.add_cert(*delegate_cert);
+  for (int i = 0; i < behavior.extra_certs; ++i) {
+    builder.add_cert(i % 2 == 0 ? ca.intermediate_cert() : ca.root_cert());
+  }
+  return builder.sign(key).encode_der();
+}
+
+struct DifferentialCase {
+  std::string name;
+  ResponderBehavior behavior;
+};
+
+std::vector<DifferentialCase> differential_cases() {
+  std::vector<DifferentialCase> cases;
+  const auto add = [&cases](std::string name, auto&& tweak) {
+    ResponderBehavior behavior;
+    tweak(behavior);
+    cases.push_back({std::move(name), behavior});
+  };
+  add("default", [](ResponderBehavior&) {});
+  add("on-demand", [](ResponderBehavior& b) { b.pre_generate = false; });
+  add("blank-validity", [](ResponderBehavior& b) { b.validity.reset(); });
+  add("zero-margin",
+      [](ResponderBehavior& b) { b.this_update_margin = Duration::secs(0); });
+  add("negative-margin",
+      [](ResponderBehavior& b) { b.this_update_margin = Duration::hours(-2); });
+  add("backends-3", [](ResponderBehavior& b) { b.backends = 3; });
+  add("extra-serials-3", [](ResponderBehavior& b) { b.extra_serials = 3; });
+  add("extra-serials-20", [](ResponderBehavior& b) { b.extra_serials = 20; });
+  add("extra-certs-1", [](ResponderBehavior& b) { b.extra_certs = 1; });
+  add("extra-certs-3", [](ResponderBehavior& b) { b.extra_certs = 3; });
+  add("delegate", [](ResponderBehavior& b) { b.delegate_signing = true; });
+  add("wrong-serial", [](ResponderBehavior& b) { b.wrong_serial = true; });
+  add("bad-signature", [](ResponderBehavior& b) { b.bad_signature = true; });
+  add("on-demand-chain", [](ResponderBehavior& b) {
+    b.pre_generate = false;
+    b.extra_serials = 20;
+    b.extra_certs = 3;
+    b.delegate_signing = true;
+  });
+  add("on-demand-broken", [](ResponderBehavior& b) {
+    b.pre_generate = false;
+    b.validity.reset();
+    b.this_update_margin = Duration::hours(-2);
+    b.wrong_serial = true;
+    b.bad_signature = true;
+    b.backends = 3;
+  });
+  add("pre-generated-mix", [](ResponderBehavior& b) {
+    b.backends = 3;
+    b.extra_serials = 3;
+    b.extra_certs = 1;
+    b.delegate_signing = true;
+    b.validity = Duration::days(400);
+  });
+  return cases;
+}
+
+// Checks every answer one responder gives (build_response_der, POST, GET
+// with URL-safe base64, GET with percent-encoded standard base64) for each
+// CertID shape, with and without a nonce, against builder_reference.
+// producedAt comes from the answer itself: a pre-generated responder's
+// cycle phase is private to it. A signature the test cannot reproduce
+// (a delegated or deliberately wrong key) is spliced in from the answer
+// and checked through its public half instead.
+void expect_answers_match_reference(
+    CertificateAuthority& ca, const DifferentialCase& test_case,
+    const std::vector<std::pair<std::string, ocsp::CertId>>& ids,
+    util::Rng& rng) {
+  OcspResponder responder(ca, test_case.behavior,
+                          "ocsp.diff-" + test_case.name + ".example", rng);
+  const ResponderBehavior& behavior = test_case.behavior;
+  util::Rng stand_in_rng(77);
+  const crypto::KeyPair stand_in = crypto::KeyPair::generate_sim(stand_in_rng);
+  const bool ca_signs = !behavior.delegate_signing && !behavior.bad_signature;
+  const Bytes nonce = util::from_hex("00112233445566778899aabbccddeeff");
+
+  for (const auto& [id_name, id] : ids) {
+    for (const bool with_nonce : {false, true}) {
+      ocsp::OcspRequest request = ocsp::OcspRequest::single(id);
+      if (with_nonce) request.set_nonce(nonce);
+      const std::optional<Bytes> request_nonce =
+          with_nonce ? std::optional<Bytes>(nonce) : std::nullopt;
+
+      std::vector<std::pair<std::string, Bytes>> answers;
+      answers.emplace_back(
+          "build_response_der",
+          responder.build_response_der(id, kNow, request_nonce));
+      net::HttpRequest post;
+      post.method = "POST";
+      post.body = request.encode_der();
+      answers.emplace_back(
+          "POST", responder.handle(post, kNow, net::Region::kVirginia).body);
+      net::HttpRequest get;
+      get.method = "GET";
+      get.path = request.encode_get_path();
+      answers.emplace_back(
+          "GET", responder.handle(get, kNow, net::Region::kVirginia).body);
+      std::string escaped = "/";
+      for (const char c : util::base64_encode(request.encode_der())) {
+        if (c == '+') {
+          escaped += "%2B";
+        } else if (c == '/') {
+          escaped += "%2F";
+        } else if (c == '=') {
+          escaped += "%3D";
+        } else {
+          escaped += c;
+        }
+      }
+      get.path = escaped;
+      answers.emplace_back(
+          "GET standard base64",
+          responder.handle(get, kNow, net::Region::kVirginia).body);
+
+      for (const auto& [entry, answer] : answers) {
+        const std::string what = test_case.name + " / " + id_name + " / " +
+                                 entry + (with_nonce ? " / nonce" : "");
+        auto parsed = ocsp::OcspResponse::parse(answer);
+        ASSERT_TRUE(parsed.ok()) << what << ": " << parsed.error().to_string();
+        const ocsp::OcspResponse& actual = parsed.value();
+        ASSERT_TRUE(actual.successful()) << what;
+        const SimTime gen_time = actual.produced_at();
+        if (!behavior.pre_generate) {
+          EXPECT_EQ(gen_time, kNow) << what;
+        }
+        const x509::Certificate* delegate = nullptr;
+        if (behavior.delegate_signing) {
+          const bool root_issued = id_name == "root-issued";
+          ASSERT_GT(actual.certs().size(), root_issued ? 1u : 0u) << what;
+          delegate = &actual.certs()[root_issued ? 1 : 0];
+          EXPECT_TRUE(delegate->verify_signature(
+              ca.intermediate_cert().public_key()))
+              << what;
+        }
+        Bytes expected = builder_reference(
+            ca, behavior, id, gen_time,
+            behavior.pre_generate ? std::nullopt : request_nonce, delegate,
+            ca_signs ? ca.intermediate_key() : stand_in);
+        if (!ca_signs) {
+          // Splice the answer's signature over the stand-in's.
+          const Bytes stand_in_signature =
+              ocsp::OcspResponse::parse(expected).value().signature();
+          ASSERT_EQ(stand_in_signature.size(), actual.signature().size())
+              << what;
+          const auto at = std::search(expected.begin(), expected.end(),
+                                      stand_in_signature.begin(),
+                                      stand_in_signature.end());
+          ASSERT_NE(at, expected.end()) << what;
+          std::copy(actual.signature().begin(), actual.signature().end(), at);
+          if (behavior.bad_signature) {
+            EXPECT_FALSE(actual.verify_signature(
+                ca.intermediate_cert().public_key()))
+                << what;
+          } else {
+            EXPECT_TRUE(actual.verify_signature(delegate->public_key()))
+                << what;
+          }
+        }
+        EXPECT_EQ(util::to_hex(answer), util::to_hex(expected)) << what;
+      }
+      // Every entry point gives the same answer.
+      for (const auto& [entry, answer] : answers) {
+        EXPECT_EQ(answer, answers.front().second)
+            << test_case.name << " / " << id_name << " / " << entry;
+      }
+    }
+  }
+}
+
+std::vector<std::pair<std::string, ocsp::CertId>> differential_ids(
+    CertificateAuthority& ca, util::Rng& rng) {
+  const auto leaf = [&](const std::string& domain) {
+    LeafRequest request;
+    request.domain = domain;
+    request.not_before = kNow - Duration::days(30);
+    request.lifetime = Duration::days(365);
+    return ocsp::CertId::for_certificate(ca.issue(request, rng),
+                                         ca.intermediate_cert());
+  };
+  std::vector<std::pair<std::string, ocsp::CertId>> ids;
+  ids.emplace_back("good", leaf("diff-good.example"));
+  const ocsp::CertId with_reason = leaf("diff-revoked-reason.example");
+  RevocationPolicy keep_reason;
+  keep_reason.ocsp_drops_reason = false;
+  ca.revoke(with_reason.serial, kNow - Duration::days(3),
+            crl::ReasonCode::kKeyCompromise, keep_reason);
+  ids.emplace_back("revoked-with-reason", with_reason);
+  const ocsp::CertId without_reason = leaf("diff-revoked-bare.example");
+  ca.revoke(without_reason.serial, kNow - Duration::days(2),
+            crl::ReasonCode::kSuperseded, RevocationPolicy{});
+  ids.emplace_back("revoked-without-reason", without_reason);
+  ids.emplace_back("root-issued", ocsp::CertId::for_certificate(
+                                      ca.intermediate_cert(), ca.root_cert()));
+  ocsp::CertId wrong_issuer = leaf("diff-wrong-issuer.example");
+  wrong_issuer.issuer_name_hash.assign(20, 0x5a);
+  ids.emplace_back("wrong-issuer", wrong_issuer);
+  return ids;
+}
+
+TEST_F(Fixture, ResponderAnswersMatchBuilderReference) {
+  const auto ids = differential_ids(authority, rng);
+  for (const DifferentialCase& test_case : differential_cases()) {
+    expect_answers_match_reference(authority, test_case, ids, rng);
+  }
+}
+
+TEST(ResponderDifferential, RsaCaAnswersMatchBuilderReference) {
+  util::Rng rng(4096);
+  CertificateAuthority rsa_ca("RsaCA", kNow - Duration::days(2000), rng,
+                              /*use_rsa=*/true);
+  const auto ids = differential_ids(rsa_ca, rng);
+  for (const DifferentialCase& test_case : differential_cases()) {
+    if (test_case.name == "default" || test_case.name == "on-demand" ||
+        test_case.name == "on-demand-chain" ||
+        test_case.name == "on-demand-broken" ||
+        test_case.name == "pre-generated-mix") {
+      expect_answers_match_reference(rsa_ca, test_case, ids, rng);
+    }
+  }
 }
 
 // ------------------------------------------------------------ crl server --

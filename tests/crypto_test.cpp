@@ -199,25 +199,40 @@ TEST(Sha1, TwoBlock) {
 
 // ------------------------------------------------------------------ HMAC --
 
+// Each RFC 4231 vector also runs through one HmacSha256Key: used twice (the
+// pads are absorbed once and must survive a MAC) and copied, and both must
+// agree with the one-shot hmac_sha256.
+void expect_hmac(const Bytes& key, const Bytes& message,
+                 const std::string& expected_hex) {
+  EXPECT_EQ(util::to_hex(hmac_sha256(key, message)), expected_hex);
+  const HmacSha256Key keyed(key);
+  EXPECT_EQ(util::to_hex(keyed.mac(message)), expected_hex);
+  EXPECT_EQ(util::to_hex(keyed.mac(message)), expected_hex);
+  const HmacSha256Key copy = keyed;
+  std::uint8_t out[HmacSha256Key::kMacSize];
+  copy.mac_to(message, out);
+  EXPECT_EQ(util::to_hex(Bytes(out, out + sizeof(out))), expected_hex);
+}
+
 TEST(Hmac, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  EXPECT_EQ(util::to_hex(hmac_sha256(key, util::bytes_of("Hi There"))),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  expect_hmac(Bytes(20, 0x0b), util::bytes_of("Hi There"),
+              "b0344c61d8db38535ca8afceaf0bf12b"
+              "881dc200c9833da726e9376c2e32cff7");
 }
 
 TEST(Hmac, Rfc4231Case2) {
-  EXPECT_EQ(util::to_hex(hmac_sha256(
-                util::bytes_of("Jefe"),
-                util::bytes_of("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  expect_hmac(util::bytes_of("Jefe"),
+              util::bytes_of("what do ya want for nothing?"),
+              "5bdcc146bf60754e6a042426089575c7"
+              "5a003f089d2739839dec58b964ec3843");
 }
 
 TEST(Hmac, Rfc4231Case6LongKey) {
-  const Bytes key(131, 0xaa);
-  EXPECT_EQ(util::to_hex(hmac_sha256(
-                key, util::bytes_of(
-                         "Test Using Larger Than Block-Size Key - Hash Key First"))),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  expect_hmac(Bytes(131, 0xaa),
+              util::bytes_of(
+                  "Test Using Larger Than Block-Size Key - Hash Key First"),
+              "60e431591ee0b67f0d8a26aacbf5b77f"
+              "8e0bc6213728c5140546040f0ee37f54");
 }
 
 TEST(Hmac, KeySensitivity) {

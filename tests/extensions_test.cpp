@@ -4,6 +4,8 @@
 // responder's issuer-hash check, and the browser CRL fallback.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "browser/browser.hpp"
 #include "ca/authority.hpp"
 #include "ca/crl_server.hpp"
@@ -54,6 +56,41 @@ TEST(Base64, UrlSafeUsesDifferentAlphabet) {
   EXPECT_EQ(url_safe.find('+'), std::string::npos);
   EXPECT_EQ(url_safe.find('='), std::string::npos);  // unpadded
   EXPECT_EQ(util::base64url_decode(url_safe).value(), data);
+}
+
+// The in-place decoder an OCSP GET path goes through accepts exactly what
+// "URL-safe, else standard" accepts, with the same bytes, and fails with
+// the standard decoder's code. Every string of up to 6 characters over an
+// alphabet that mixes both alphabets, padding, a stray byte and zero bits.
+TEST(Base64, InPlaceDecodeIsUrlSafeElseStandard) {
+  const std::string symbols = "AQg-_+/=!";
+  std::size_t checked = 0;
+  std::string text;
+  const auto check = [&] {
+    const auto url = util::base64url_decode(text);
+    const auto standard = util::base64_decode(text);
+    Bytes buf(text.begin(), text.end());
+    const util::Status status = util::base64_decode_in_place(buf);
+    if (url.ok() || standard.ok()) {
+      ASSERT_TRUE(status.ok()) << text;
+      EXPECT_EQ(buf, url.ok() ? url.value() : standard.value()) << text;
+    } else {
+      ASSERT_FALSE(status.ok()) << text;
+      EXPECT_EQ(status.error().code, standard.error().code) << text;
+    }
+    ++checked;
+  };
+  const std::function<void(std::size_t)> extend = [&](std::size_t left) {
+    check();
+    if (left == 0) return;
+    for (const char c : symbols) {
+      text.push_back(c);
+      extend(left - 1);
+      text.pop_back();
+    }
+  };
+  extend(6);
+  EXPECT_EQ(checked, 597871u);  // 1 + 9 + 9^2 + ... + 9^6
 }
 
 class Base64RoundTrip : public ::testing::TestWithParam<std::size_t> {};

@@ -4,6 +4,9 @@
 // mutations at every parser in the wire-format stack.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "ca/authority.hpp"
 #include "crl/crl.hpp"
 #include "net/http.hpp"
@@ -66,9 +69,35 @@ Artifacts& artifacts() {
   return a;
 }
 
+/// The OCSPRequest view traversal and the owning parse built on it accept
+/// and reject the same bytes, with the same error code, and read the same
+/// CertIDs and nonce.
+void expect_request_parses_agree(const Bytes& data) {
+  const auto owning = ocsp::OcspRequest::parse(data);
+  const auto view = ocsp::OcspRequestView::parse(data);
+  ASSERT_EQ(owning.ok(), view.ok()) << util::to_hex(data);
+  if (!owning.ok()) {
+    EXPECT_EQ(owning.error().code, view.error().code) << util::to_hex(data);
+    return;
+  }
+  std::vector<ocsp::CertId> viewed;
+  view.value().for_each_cert_id([&viewed](const ocsp::CertIdView& id) {
+    viewed.push_back(id.to_cert_id());
+  });
+  EXPECT_EQ(viewed, owning.value().cert_ids());
+  ASSERT_FALSE(viewed.empty());
+  EXPECT_EQ(view.value().first_cert_id().to_cert_id(), viewed.front());
+  ASSERT_EQ(view.value().nonce().has_value(),
+            owning.value().nonce().has_value());
+  if (view.value().nonce()) {
+    EXPECT_EQ(view.value().nonce()->to_bytes(), *owning.value().nonce());
+  }
+}
+
 /// Feeds a buffer to every parser; the only acceptable outcomes are a
 /// successful parse or an error Result — no exceptions, no crashes.
 void exercise_all_parsers(const Bytes& data) {
+  expect_request_parses_agree(data);
   EXPECT_NO_THROW({
     (void)x509::Certificate::parse(data);
     (void)crl::Crl::parse(data);
@@ -168,6 +197,101 @@ TEST(TruncationSweep, OcspRequestNeverCrashes) {
       auto result = ocsp::OcspRequest::parse(truncated);
       EXPECT_FALSE(result.ok());
     });
+    expect_request_parses_agree(truncated);
+  }
+}
+
+// Hand-built requests for the shapes random bytes rarely reach: a
+// requestList of `cert_ids` CertIDs and the given extensions, each an OID's
+// raw content octets (well-formed or not) and an OCTET STRING value.
+Bytes request_with(std::size_t cert_ids,
+                   const std::vector<std::pair<Bytes, Bytes>>& extensions) {
+  asn1::Writer w;
+  w.sequence([&](asn1::Writer& request) {
+    request.sequence([&](asn1::Writer& tbs) {
+      tbs.sequence([&](asn1::Writer& list) {
+        for (std::size_t i = 0; i < cert_ids; ++i) {
+          ocsp::CertId id;
+          id.issuer_name_hash.assign(20, 0xaa);
+          id.issuer_key_hash.assign(20, 0xbb);
+          id.serial = {0x42, static_cast<std::uint8_t>(i)};
+          list.sequence([&](asn1::Writer& single) {
+            ocsp::encode_cert_id(single, id);
+          });
+        }
+      });
+      if (extensions.empty()) return;
+      tbs.explicit_context(2, [&](asn1::Writer& wrapper) {
+        wrapper.sequence([&](asn1::Writer& exts) {
+          for (const auto& [oid_content, value] : extensions) {
+            exts.sequence([&](asn1::Writer& ext) {
+              ext.tlv(static_cast<std::uint8_t>(asn1::Tag::kOid), oid_content);
+              ext.octet_string(value);
+            });
+          }
+        });
+      });
+    });
+  });
+  return w.take();
+}
+
+TEST(RequestParses, ViewAndOwningAgreeOnEveryShape) {
+  Bytes nonce_oid;
+  asn1::oids::ocsp_nonce().append_content(nonce_oid);
+  Bytes other_oid;  // id-pkix-ocsp-response, 1.3.6.1.5.5.7.48.1.4
+  asn1::Oid{1, 3, 6, 1, 5, 5, 7, 48, 1, 4}.append_content(other_oid);
+  const Bytes truncated_oid = {0x2b, 0x06, 0x81};  // last arc never ends
+  const Bytes nonce_a = util::from_hex("0102030405060708090a0b0c0d0e0f10");
+  const Bytes nonce_b = util::from_hex("ffee");
+
+  struct Shape {
+    const char* name;
+    Bytes der;
+    const char* error;  ///< nullptr: accepted
+    std::size_t cert_ids;
+    std::optional<Bytes> nonce;
+  };
+  const std::vector<Shape> shapes = {
+      {"no CertIDs", request_with(0, {}), "ocsp.request.empty", 0, {}},
+      {"one CertID", request_with(1, {}), nullptr, 1, {}},
+      {"three CertIDs", request_with(3, {}), nullptr, 3, {}},
+      {"nonce", request_with(1, {{nonce_oid, nonce_a}}), nullptr, 1, nonce_a},
+      {"other extension", request_with(1, {{other_oid, nonce_a}}), nullptr, 1,
+       {}},
+      {"other extension then nonce",
+       request_with(3, {{other_oid, nonce_b}, {nonce_oid, nonce_a}}), nullptr,
+       3, nonce_a},
+      {"two nonces, the last kept",
+       request_with(1, {{nonce_oid, nonce_a}, {nonce_oid, nonce_b}}), nullptr,
+       1, nonce_b},
+      {"malformed extension OID",
+       request_with(1, {{truncated_oid, nonce_a}}), "oid.truncated_arc", 1,
+       {}},
+      {"empty extension OID", request_with(1, {{Bytes{}, nonce_a}}),
+       "oid.empty_content", 1, {}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    expect_request_parses_agree(shape.der);
+    const auto view = ocsp::OcspRequestView::parse(shape.der);
+    if (shape.error != nullptr) {
+      ASSERT_FALSE(view.ok());
+      EXPECT_EQ(view.error().code, shape.error);
+      continue;
+    }
+    ASSERT_TRUE(view.ok()) << view.error().to_string();
+    std::size_t count = 0;
+    view.value().for_each_cert_id([&count](const ocsp::CertIdView& id) {
+      EXPECT_EQ(id.serial.to_bytes(),
+                (Bytes{0x42, static_cast<std::uint8_t>(count)}));
+      ++count;
+    });
+    EXPECT_EQ(count, shape.cert_ids);
+    EXPECT_EQ(view.value().first_cert_id().serial.to_bytes(),
+              (Bytes{0x42, 0x00}));
+    ASSERT_EQ(view.value().nonce().has_value(), shape.nonce.has_value());
+    if (shape.nonce) EXPECT_EQ(view.value().nonce()->to_bytes(), *shape.nonce);
   }
 }
 

@@ -840,36 +840,6 @@ TEST(AllocCounter, PeakTracksHighWaterNotCurrent) {
   EXPECT_EQ(counter.allocated_bytes(), 0u);
 }
 
-TEST(CountingAllocator, ChargesANamedCounterThroughARealContainer) {
-  AllocCounter counter;
-  {
-    const CountingAllocator<std::uint64_t> allocator(&counter);
-    std::vector<std::uint64_t, CountingAllocator<std::uint64_t>> values(
-        allocator);
-    values.reserve(1024);
-    EXPECT_GE(counter.allocated_bytes(), 1024 * sizeof(std::uint64_t));
-    EXPECT_GT(counter.outstanding_bytes(), 0u);
-    for (std::uint64_t i = 0; i < 1024; ++i) values.push_back(i);
-    EXPECT_EQ(values.size(), 1024u);
-  }
-  // Container destruction returns every byte: conservation at quiescence.
-  EXPECT_EQ(counter.allocated_bytes(), counter.freed_bytes());
-  EXPECT_EQ(counter.outstanding_bytes(), 0u);
-  EXPECT_EQ(counter.alloc_calls(), counter.free_calls());
-}
-
-TEST(CountingAllocator, NullCounterDegradesToPlainAllocation) {
-  std::vector<int, CountingAllocator<int>> values;  // default: no counter
-  for (int i = 0; i < 100; ++i) values.push_back(i);
-  EXPECT_EQ(values.size(), 100u);
-  EXPECT_EQ(values[99], 99);
-  // All instances compare equal regardless of counter wiring (the
-  // std::allocator contract containers rely on for swap/move).
-  AllocCounter counter;
-  EXPECT_TRUE(CountingAllocator<int>(&counter) == CountingAllocator<int>());
-  EXPECT_FALSE(CountingAllocator<int>(&counter) != CountingAllocator<int>());
-}
-
 TEST(AllocTally, ReleasesEverythingOnDestruction) {
   AllocCounter counter;
   {
